@@ -1,7 +1,6 @@
 """Finite-dimensional contexts, presheaves, valuations, and the
 global-section (Kochen-Specker) search."""
 
-from ._kernel import BACKEND as kernel_backend
 from .coarse import (
     AugmentedProposition,
     LatticeElement,

@@ -3,8 +3,8 @@
 Subcommands build context posets from ray-set files, compute and check
 state-derived valuations and interval constructions, and run the
 global-section search. All reports are JSON with sorted keys and embed the
-config that produced them; repeated single-threaded runs on the same inputs
-are byte-identical (timings stay null unless requested).
+config that produced them; repeated runs on the same inputs are
+byte-identical (timings stay null unless requested).
 
 Exit codes: 0 success, 1 a checked property failed (reported), 2 usage or
 input error.
@@ -242,9 +242,6 @@ def _add_common(sp, state: bool = False):
                     help="include every coarsening of each maximal context")
     sp.add_argument("--output", help="write the report here instead of stdout")
     sp.add_argument("--eps", type=float, default=None, help="float-backend tolerance")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker count; affects timing only, never content")
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     if state:
         sp.add_argument("--state", default="maximally-mixed",
                         help="maximally-mixed | basis-k | diag:w0,w1,.. | vec:.. | file")

@@ -425,16 +425,24 @@ def restrict_state(rho: DensityMatrix, v: Context) -> StateOnContext:
 
 
 def check_weight_family(family: dict, poset: ContextPoset) -> bool:
-    """True iff per-stage weights push forward consistently along every pair."""
-    eps = 1e-7 if poset.backend == "float" else 0
+    """True iff per-stage weights push forward consistently along every pair.
+
+    Exact weights are summed in Q(sqrt 2) and compared with ``==``; float
+    weights agree within 1e-7.
+    """
+    exact = poset.backend == "exact"
     for sub, sup in poset.proper_pairs():
         w_sup = family[sup]
         w_sub = family[sub]
         rmap = poset.restriction[(sub, sup)]
-        pushed = [0.0] * len(w_sub)
+        pushed = [QSqrt2(0) if exact else 0.0] * len(w_sub)
         for i, w in enumerate(w_sup):
-            pushed[rmap[i]] += float(w)
-        if any(abs(pushed[j] - float(w_sub[j])) > eps for j in range(len(w_sub))):
+            pushed[rmap[i]] += w if exact else float(w)
+        if exact:
+            differ = any(p != w for p, w in zip(pushed, w_sub))
+        else:
+            differ = any(abs(p - float(w)) > 1e-7 for p, w in zip(pushed, w_sub))
+        if differ:
             return False
     return True
 

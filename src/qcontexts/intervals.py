@@ -298,54 +298,29 @@ def check_semantic_subobject(family: ProjectorFamily, poset: ContextPoset,
 
 
 def ideal_valuation(psi, poset: ContextPoset) -> IntervalAssignment:
-    """Interval assignment from the annihilator ideal of a unit vector.
+    """Interval assignment from the annihilator ideal of a nonzero vector.
 
     Per stage, the largest projector annihilating the vector is the sum of
-    the annihilating atoms; the assigned functionals are the rest.
+    the annihilating atoms; the assigned functionals are the rest. The
+    ideal of a ray does not depend on the vector's scale.
     """
-    if poset.backend == "float":
-        v = np.array(psi, dtype=complex)
-        n = float(np.vdot(v, v).real)
-        if n <= get_eps():
-            raise ValidationError("zero vector")
-        if abs(n - 1.0) > 1e-6:
-            raise ValidationError("vector is not normalized")
-        sets = {}
-        for cid in poset.ids():
-            ctx = poset.contexts[cid]
-            keep = set()
-            for i, atom in enumerate(ctx.atoms):
-                if np.linalg.norm(atom.matrix.data @ v) > np.sqrt(get_eps()):
-                    keep.add(i)
-            sets[cid] = frozenset(keep)
-        return IntervalAssignment(sets)
-    from .scalars import EC_ZERO, exact_entry
-
-    vec = [exact_entry(x) for x in psi]
-    norm = sum((x.conj() * x for x in vec), EC_ZERO)
-    if norm.is_zero():
-        raise ValidationError("zero vector")
-    if not (norm.re == 1 and norm.im.is_zero()):
-        raise ValidationError("vector is not normalized")
     sets = {}
     for cid in poset.ids():
         ctx = poset.contexts[cid]
-        keep = set()
-        for i, atom in enumerate(ctx.atoms):
-            image = [
-                sum((atom.matrix.data[r][c] * vec[c] for c in range(ctx.dim)), EC_ZERO)
-                for r in range(ctx.dim)
-            ]
-            if any(not x.is_zero() for x in image):
-                keep.add(i)
-        sets[cid] = frozenset(keep)
+        mask = largest_annihilating_mask(psi, ctx)
+        sets[cid] = frozenset(i for i in range(ctx.n_atoms) if not mask >> i & 1)
     return IntervalAssignment(sets)
 
 
 def largest_annihilating_mask(psi, v: Context) -> int:
-    """Bitmask of atoms annihilating the vector (the ideal's top projector)."""
+    """Bitmask of atoms annihilating the nonzero vector (the ideal's top
+    projector). Float vectors are normalized before the ``sqrt(eps)`` test."""
     if v.backend == "float":
         vec = np.array(psi, dtype=complex)
+        n = float(np.vdot(vec, vec).real)
+        if n <= get_eps():
+            raise ValidationError("zero vector")
+        vec = vec / np.sqrt(n)
         mask = 0
         for i, atom in enumerate(v.atoms):
             if np.linalg.norm(atom.matrix.data @ vec) <= np.sqrt(get_eps()):
@@ -354,6 +329,8 @@ def largest_annihilating_mask(psi, v: Context) -> int:
     from .scalars import EC_ZERO, exact_entry
 
     vec = [exact_entry(x) for x in psi]
+    if all(x.is_zero() for x in vec):
+        raise ValidationError("zero vector")
     mask = 0
     for i, atom in enumerate(v.atoms):
         image = [

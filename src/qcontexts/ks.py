@@ -15,52 +15,79 @@ from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, product
 
-from ._kernel import BACKEND as KERNEL_BACKEND
-from ._kernel import search_sections
 from .contexts import Context, ContextPoset, SpectralFunctional, build_poset, restrict_functional
 from .linalg import Projector, ValidationError
 
 
 class RaySet:
-    """Deduplicated rays with the orthogonal bases found among them."""
+    """Deduplicated rays with the orthogonal bases found among them.
+
+    Declared bases index the rays as given, duplicates included; they are
+    stored against the deduplicated rays.
+    """
 
     __slots__ = ("dim", "backend", "rays", "projectors", "bases")
 
     def __init__(self, dim: int, rays, backend: str = "exact", bases=None):
+        if not _is_index(dim) or dim < 1:
+            raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+        if not isinstance(rays, (list, tuple)):
+            raise ValidationError("rays must be a list")
         self.dim = dim
         self.backend = backend
         projectors = []
         kept = []
-        seen = set()
-        for ray in rays:
-            if len(ray) != dim:
-                raise ValidationError("ray length disagrees with dimension")
+        position = {}  # canonical key -> index among the kept rays
+        where = []  # given ray index -> index among the kept rays
+        for k, ray in enumerate(rays):
+            if not isinstance(ray, (list, tuple)) or len(ray) != dim:
+                raise ValidationError(f"ray {k} is not a list of {dim} entries")
+            if any(_is_bad_entry(x) for x in ray):
+                raise ValidationError(f"ray {k} has a boolean or null entry")
             p = Projector.from_ray(ray, backend)
-            if p.canonical_key in seen:
-                continue
-            seen.add(p.canonical_key)
-            projectors.append(p)
-            kept.append(tuple(ray))
+            if p.canonical_key not in position:
+                position[p.canonical_key] = len(projectors)
+                projectors.append(p)
+                kept.append(tuple(ray))
+            where.append(position[p.canonical_key])
         self.rays = tuple(kept)
         self.projectors = tuple(projectors)
         if bases is None:
             bases = discover_bases(self.projectors, dim)
         else:
-            bases = [tuple(b) for b in bases]
-            for b in bases:
-                self._check_basis(b)
+            if not isinstance(bases, (list, tuple)):
+                raise ValidationError("bases must be a list")
+            bases = [self._declared_basis(b, where) for b in bases]
         self.bases = tuple(sorted(set(bases)))
 
-    def _check_basis(self, b):
-        if len(b) != self.dim:
-            raise ValidationError(f"basis {b} does not have {self.dim} rays")
+    def _declared_basis(self, b, where) -> tuple:
+        """Check a basis of given ray indices; return it as kept-ray indices."""
+        if not isinstance(b, (list, tuple)) or len(b) != self.dim:
+            raise ValidationError(f"basis {b!r} is not a list of {self.dim} ray indices")
+        for i in b:
+            if not _is_index(i) or not 0 <= i < len(where):
+                raise ValidationError(f"basis {b!r}: {i!r} is not a ray index "
+                                      f"in [0, {len(where)})")
         for i, j in combinations(b, 2):
-            if not self.projectors[i].orthogonal_to(self.projectors[j]):
+            if not self.projectors[where[i]].orthogonal_to(self.projectors[where[j]]):
                 raise ValidationError(f"rays {i} and {j} in basis {b} are not orthogonal")
+        return tuple(where[i] for i in b)
 
     @property
     def n_rays(self) -> int:
         return len(self.rays)
+
+
+def _is_index(x) -> bool:
+    """A non-bool int: JSON's true and false load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_bad_entry(x) -> bool:
+    """A boolean or null ray entry, or an ``[a, b]`` pair holding one."""
+    if isinstance(x, (list, tuple)):
+        return any(_is_bad_entry(y) for y in x)
+    return x is None or isinstance(x, bool)
 
 
 def discover_bases(projectors, dim: int):
@@ -109,10 +136,12 @@ def load_rayset(source) -> RaySet:
             else:
                 with open(str(source)) as fh:
                     obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValidationError("a ray set must be a JSON object")
     field = obj.get("field", "int")
     if field not in ("int", "quadratic_sqrt2"):
         raise ValidationError(f"unknown field {field!r}")
-    return RaySet(int(obj["dim"]), obj["rays"], backend="exact", bases=obj.get("bases"))
+    return RaySet(obj["dim"], obj["rays"], backend="exact", bases=obj.get("bases"))
 
 
 def poset_from_rayset(rayset: RaySet, close: bool = True,
@@ -150,20 +179,23 @@ def poset_from_rayset(rayset: RaySet, close: bool = True,
 
 @dataclass(frozen=True)
 class CompiledProblem:
-    """Flattened integer-array form of the section-search CSP."""
+    """The section-search CSP: one choice variable per maximal context and
+    one forced-value slot per non-maximal context.
+
+    ``constraints[i]`` lists, for the i-th maximal context in search order,
+    a ``(slot, rmap)`` pair per context below it: choosing atom ``a`` forces
+    ``rmap[a]`` into ``slot``.
+    """
 
     maximal_ids: tuple
     slot_ids: tuple
     natoms: tuple
-    child_offsets: tuple
-    child_ids: tuple
-    map_offsets: tuple
-    map_data: tuple
+    constraints: tuple
 
 
 def compile_problem(poset: ContextPoset) -> CompiledProblem:
-    """Order the maximal contexts most-constrained-first and flatten their
-    restriction maps into the kernel's array format."""
+    """Order the maximal contexts most-constrained-first and attach to each
+    its restriction maps onto the slots below it."""
     maximal = poset.maximal_ids()
     slots = [cid for cid in poset.ids() if cid not in set(maximal)]
     slot_index = {cid: i for i, cid in enumerate(slots)}
@@ -183,29 +215,69 @@ def compile_problem(poset: ContextPoset) -> CompiledProblem:
         touched.update(children[best])
         remaining.remove(best)
 
-    natoms = []
-    child_offsets = [0]
-    child_ids = []
-    map_offsets = []
-    map_data = []
-    for m in ordered:
-        n = poset.contexts[m].n_atoms
-        natoms.append(n)
-        for c in children[m]:
-            child_ids.append(slot_index[c])
-            map_offsets.append(len(map_data))
-            rmap = poset.restriction[(c, m)]
-            map_data.extend(rmap[a] for a in range(n))
-        child_offsets.append(len(child_ids))
     return CompiledProblem(
-        tuple(ordered), tuple(slots), tuple(natoms), tuple(child_offsets),
-        tuple(child_ids), tuple(map_offsets), tuple(map_data),
+        tuple(ordered),
+        tuple(slots),
+        tuple(poset.contexts[m].n_atoms for m in ordered),
+        tuple(
+            tuple((slot_index[c], poset.restriction[(c, m)]) for c in children[m])
+            for m in ordered
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------
+
+
+def search_sections(natoms, constraints, n_slots, want_all=False, limit=0):
+    """Depth-first search over per-context atom choices.
+
+    Context ``i`` has ``natoms[i]`` atoms; choosing atom ``a`` for it forces
+    ``rmap[a]`` into ``slot`` for every ``(slot, rmap)`` in
+    ``constraints[i]``. A full choice is a solution iff it forces no slot two
+    different ways. Returns ``(solutions, nodes)``: each solution is a tuple
+    of atom indices in context order, and ``nodes`` counts attempted atoms.
+    Without ``want_all`` the search stops at the first solution;
+    ``limit <= 0`` means unbounded.
+    """
+    k = len(natoms)
+    slot_values = [-1] * n_slots
+    trail = [[] for _ in range(k)]  # slots first forced at each depth
+    choice = [-1] * k
+    solutions = []
+    nodes = 0
+    depth = 0
+    while depth >= 0:
+        if depth == k:
+            solutions.append(tuple(choice))
+            if not want_all or 0 < limit <= len(solutions):
+                break
+            depth -= 1
+            continue
+        forced_here = trail[depth]
+        for s in forced_here:
+            slot_values[s] = -1
+        forced_here.clear()
+        a = choice[depth] + 1
+        if a == natoms[depth]:
+            choice[depth] = -1
+            depth -= 1
+            continue
+        choice[depth] = a
+        nodes += 1
+        for s, rmap in constraints[depth]:
+            forced = rmap[a]
+            cur = slot_values[s]
+            if cur == -1:
+                slot_values[s] = forced
+                forced_here.append(s)
+            elif cur != forced:
+                break
+        else:
+            depth += 1
+    return solutions, nodes
 
 
 @dataclass(frozen=True)
@@ -232,53 +304,38 @@ def _expand(problem: CompiledProblem, poset: ContextPoset, raw) -> SectionAssign
     return SectionAssignment(choices)
 
 
+def _search(poset: ContextPoset, want_all: bool, limit: int, timings: bool):
+    problem = compile_problem(poset)
+    t0 = time.perf_counter()
+    solutions, nodes = search_sections(problem.natoms, problem.constraints,
+                                       len(problem.slot_ids), want_all, limit)
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    report = {
+        "exists": bool(solutions),
+        "n_contexts": len(poset),
+        "n_maximal": len(problem.maximal_ids),
+        "nodes": nodes,
+        "kernel": "python",
+        "elapsed_ms": round(elapsed, 3) if timings else None,
+    }
+    return [_expand(problem, poset, s) for s in solutions], report
+
+
 def find_global_section(poset: ContextPoset, timings: bool = False):
     """First global section if one exists, with a search report.
 
     Returns ``(assignment_or_None, report)``; the report is deterministic
     (``elapsed_ms`` stays null unless timings are requested).
     """
-    problem = compile_problem(poset)
-    t0 = time.perf_counter()
-    solutions, nodes = search_sections(
-        list(problem.natoms), list(problem.child_offsets), list(problem.child_ids),
-        list(problem.map_offsets), list(problem.map_data), len(problem.slot_ids),
-        False, 1,
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    report = {
-        "exists": bool(solutions),
-        "n_contexts": len(poset),
-        "n_maximal": len(problem.maximal_ids),
-        "nodes": nodes,
-        "kernel": KERNEL_BACKEND,
-        "elapsed_ms": round(elapsed, 3) if timings else None,
-    }
-    if not solutions:
-        return None, report
-    return _expand(problem, poset, solutions[0]), report
+    sections, report = _search(poset, False, 1, timings)
+    return (sections[0] if sections else None), report
 
 
 def enumerate_global_sections(poset: ContextPoset, limit: int = 0, timings: bool = False):
     """All global sections (up to ``limit`` if positive), with a report."""
-    problem = compile_problem(poset)
-    t0 = time.perf_counter()
-    solutions, nodes = search_sections(
-        list(problem.natoms), list(problem.child_offsets), list(problem.child_ids),
-        list(problem.map_offsets), list(problem.map_data), len(problem.slot_ids),
-        True, limit,
-    )
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    report = {
-        "exists": bool(solutions),
-        "n_sections": len(solutions),
-        "n_contexts": len(poset),
-        "n_maximal": len(problem.maximal_ids),
-        "nodes": nodes,
-        "kernel": KERNEL_BACKEND,
-        "elapsed_ms": round(elapsed, 3) if timings else None,
-    }
-    return [_expand(problem, poset, s) for s in solutions], report
+    sections, report = _search(poset, True, limit, timings)
+    report["n_sections"] = len(sections)
+    return sections, report
 
 
 def validate_section(assignment: SectionAssignment, poset: ContextPoset) -> bool:

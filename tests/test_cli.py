@@ -80,6 +80,13 @@ def test_intervals_pure_state(tmp_path, capsys):
     assert report["global_element_check"]["ok"]
 
 
+def test_intervals_unnormalized_vector_state(tmp_path, capsys):
+    code, out = run(capsys, "intervals", "--rays", diag3_file(tmp_path),
+                    "--state", "vec:1,1,0")
+    assert code == 0
+    assert json.loads(out)["ideal_valuation_matches"] is True
+
+
 def test_intervals_threshold_reports_violation(tmp_path, capsys):
     code, out = run(capsys, "intervals", "--rays", diag3_file(tmp_path),
                     "--coarsenings", "--state", "diag:0.5,0.3,0.2", "--r", "0.6")
@@ -106,13 +113,15 @@ def test_ks_check_fixtures(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["section"] is not None and report["section_validates"]
+    assert report["nodes_explored"] == 2
 
     code, out = run(capsys, "ks-check", "--rays", "ks18")
     assert code == 0
     report = json.loads(out)
     assert report["section"] is None
-    assert report["nodes_explored"] > 0
+    assert report["nodes_explored"] == 804
     assert report["elapsed_ms"] is None
+    assert "threads" not in report["config"] and "seed" not in report["config"]
 
 
 def test_verify_axioms(tmp_path, capsys):
@@ -143,3 +152,22 @@ def test_outputs_are_deterministic(tmp_path, capsys):
                         "--state", "diag:1/2,3/10,1/5", "--r", "3/5")
         outputs.append((code, out))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("rayset", [
+    [1, 2],
+    {"dim": 2, "rays": [[1, None], [0, 1]]},
+    {"dim": 2, "rays": [[1, True], [0, 1]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "bases": [[0, 5]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1]], "bases": [[0, -1]]},
+    {"dim": True, "rays": [[1]]},
+    {"dim": 2, "rays": [[1, 0], [0, 1, 0]]},
+], ids=["top-level-list", "null-entry", "bool-entry", "basis-index-5",
+        "basis-index-minus-1", "bool-dim", "short-ray"])
+def test_malformed_rayset_exits_2_with_one_error(tmp_path, capsys, rayset):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(rayset))
+    code, out = run(capsys, "build-poset", "--rays", str(f))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,22 @@ def test_weight_family_mutation_detected():
     assert check_weight_family(family, poset)
     victim = poset.proper_pairs()[0][0]
     family[victim][0] += 0.05
+    assert not check_weight_family(family, poset)
+
+
+def test_exact_weight_family_compared_exactly():
+    # 1/10 + 1/5 and 3/10 differ as floats; the exact check must not care
+    v = Context([Projector.from_ray(r, "exact") for r in np.eye(3, dtype=int).tolist()])
+    poset = build_poset(all_coarsenings(v))
+    rho = DensityMatrix.from_diag([Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)], "exact")
+    assert check_state_global_element(rho, poset)
+    family = {
+        cid: list(restrict_state(rho, poset.contexts[cid]).weights)
+        for cid in poset.ids()
+    }
+    assert check_weight_family(family, poset)
+    victim = poset.proper_pairs()[0][0]
+    family[victim][0] += Fraction(1, 10**9)
     assert not check_weight_family(family, poset)
 
 

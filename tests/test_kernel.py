@@ -1,48 +1,40 @@
-"""The pure-Python and compiled kernels must agree exactly, and both must
-agree with a naive product-of-choices reference."""
+"""The backtracking section search must agree with a naive
+product-of-choices reference, in the same enumeration order."""
 
 from itertools import product
 
 import numpy as np
 import pytest
 
-from qcontexts._kernel import BACKEND, search_sections
-from qcontexts._kernel import _section_search_py as pure
+from qcontexts.ks import search_sections
 
 
 def random_problem(rng, k_max=4, atoms_max=4, slots_max=5):
     k = int(rng.integers(1, k_max + 1))
     n_slots = int(rng.integers(0, slots_max + 1))
     natoms = [int(rng.integers(1, atoms_max + 1)) for _ in range(k)]
-    child_offsets = [0]
-    child_ids = []
-    map_offsets = []
-    map_data = []
+    constraints = []
     for i in range(k):
         if n_slots:
             nchild = int(rng.integers(0, n_slots + 1))
             slots = rng.choice(n_slots, size=nchild, replace=False)
         else:
             slots = []
-        for s in slots:
-            child_ids.append(int(s))
-            map_offsets.append(len(map_data))
-            map_data.extend(int(rng.integers(0, 3)) for _ in range(natoms[i]))
-        child_offsets.append(len(child_ids))
-    return natoms, child_offsets, child_ids, map_offsets, map_data, n_slots
+        constraints.append(tuple(
+            (int(s), tuple(int(rng.integers(0, 3)) for _ in range(natoms[i])))
+            for s in slots
+        ))
+    return natoms, constraints, n_slots
 
 
-def reference_solutions(natoms, child_offsets, child_ids, map_offsets, map_data,
-                        n_slots):
+def reference_solutions(natoms, constraints, n_slots):
     out = []
     for combo in product(*(range(n) for n in natoms)):
         slots = {}
         ok = True
         for i, a in enumerate(combo):
-            for j in range(child_offsets[i], child_offsets[i + 1]):
-                s = child_ids[j]
-                forced = map_data[map_offsets[j] + a]
-                if slots.setdefault(s, forced) != forced:
+            for s, rmap in constraints[i]:
+                if slots.setdefault(s, rmap[a]) != rmap[a]:
                     ok = False
                     break
             if not ok:
@@ -57,31 +49,16 @@ def test_kernels_match_reference(seed):
     rng = np.random.default_rng(seed)
     prob = random_problem(rng)
     expected = reference_solutions(*prob)
-    got_pure, _ = pure.search_sections(*prob, True, 0)
-    got_active, _ = search_sections(*prob, True, 0)
-    assert got_pure == expected
-    assert got_active == expected  # same enumeration order, both backends
+    got, _ = search_sections(*prob, True, 0)
+    assert got == expected
 
 
 def test_first_solution_and_limit():
     rng = np.random.default_rng(99)
     for _ in range(10):
         prob = random_problem(rng)
-        all_solutions, _ = pure.search_sections(*prob, True, 0)
-        first, _ = pure.search_sections(*prob, False, 1)
-        limited, _ = pure.search_sections(*prob, True, 2)
+        all_solutions, _ = search_sections(*prob, True, 0)
+        first, _ = search_sections(*prob, False, 1)
+        limited, _ = search_sections(*prob, True, 2)
         assert first == all_solutions[:1]
         assert limited == all_solutions[:2]
-
-
-def test_node_counts_agree_across_backends():
-    rng = np.random.default_rng(4242)
-    for _ in range(20):
-        prob = random_problem(rng)
-        _, nodes_pure = pure.search_sections(*prob, True, 0)
-        _, nodes_active = search_sections(*prob, True, 0)
-        assert nodes_pure == nodes_active
-
-
-def test_backend_name():
-    assert BACKEND in ("python", "compiled")

@@ -29,6 +29,12 @@ def test_rayset_dedupes_scalar_multiples():
     assert rs.bases == ((0, 1),)
 
 
+def test_declared_bases_index_rays_as_given():
+    rs = RaySet(3, [[1, 0, 0], [0, 1, 0], [2, 0, 0], [0, 0, 1]], bases=[[2, 1, 3]])
+    assert rs.n_rays == 3
+    assert rs.bases == ((0, 1, 2),)
+
+
 def test_declared_nonorthogonal_basis_rejected():
     with pytest.raises(ValidationError):
         RaySet(2, [[1, 0], [1, 1]], bases=[[0, 1]])
@@ -123,10 +129,12 @@ def test_peres33_has_no_section_with_pair_contexts():
     with_pairs = poset_from_rayset(rs, include_pairs=True)
     # complete triads alone do not witness the obstruction; the
     # pair-generated contexts do
-    s1, _ = find_global_section(triads_only)
+    s1, report = find_global_section(triads_only)
     assert s1 is not None and validate_section(s1, triads_only)
+    assert report["nodes"] == 23
     s2, report = find_global_section(with_pairs)
     assert s2 is None and not report["exists"]
+    assert report["nodes"] == 6441
 
 
 def test_compiled_problem_is_deterministic():
