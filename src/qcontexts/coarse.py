@@ -109,11 +109,13 @@ def coarse_grain_bruteforce(poset: ContextPoset, elem: LatticeElement, target_id
 
 def coarse_functoriality_check(poset: ContextPoset) -> dict:
     """Two-step coarse-graining equals one-step, on every chain and element."""
+    pairs = poset.proper_pairs()
+    above: dict = {}  # context id -> the ids strictly above it, sorted
+    for sub, sup in pairs:
+        above.setdefault(sub, []).append(sup)
     chains = 0
-    for v3, v2 in poset.proper_pairs():
-        for v2b, v1 in poset.proper_pairs():
-            if v2b != v2:
-                continue
+    for v3, v2 in pairs:
+        for v1 in above.get(v2, ()):
             chains += 1
             ctx1 = poset.contexts[v1]
             for elem in lattice(ctx1):

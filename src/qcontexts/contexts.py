@@ -249,8 +249,15 @@ def meet(v1: Context, v2: Context) -> Context:
     groups: dict[int, list[int]] = {}
     for i in range(n1):
         groups.setdefault(find(i), []).append(i)
+    if len(groups) == n1:
+        return v1
+    if len(groups) == 1:
+        return Context.trivial(v1.dim, v1.backend)
     atoms = []
     for idxs in groups.values():
+        if len(idxs) == 1:
+            atoms.append(v1.atoms[idxs[0]])
+            continue
         m = v1.atoms[idxs[0]].matrix
         for i in idxs[1:]:
             m = m + v1.atoms[i].matrix

@@ -15,8 +15,7 @@ import numpy as np
 
 from .coarse import LatticeElement, coarse_grain, lattice
 from .contexts import Context, ContextPoset
-from .linalg import DensityMatrix, ValidationError, get_eps
-from .scalars import QSqrt2
+from .linalg import DensityMatrix, ValidationError, _product_trace, get_eps
 from .valuations import ValuationTable, principal_sieve, stage_weights
 
 
@@ -70,8 +69,10 @@ def support(rho: DensityMatrix, v: Context) -> LatticeElement:
     the sum of atoms carrying positive weight."""
     mask = 0
     for i, atom in enumerate(v.atoms):
-        w = (rho.matrix @ atom.matrix).real_trace()
-        positive = (w > 0) if isinstance(w, QSqrt2) else float(w) > get_eps()
+        if v.backend == "exact":
+            positive = _product_trace(rho.matrix, atom.matrix) > 0
+        else:
+            positive = float((rho.matrix @ atom.matrix).real_trace()) > get_eps()
         if positive:
             mask |= 1 << i
     return LatticeElement(v.id, mask)

@@ -44,7 +44,13 @@ class RaySet:
                 raise ValidationError(f"ray {k} is not a list of {dim} entries")
             if any(_is_bad_entry(x) for x in ray):
                 raise ValidationError(f"ray {k} has a boolean or null entry")
-            p = Projector.from_ray(ray, backend)
+            try:
+                p = Projector.from_ray(ray, backend)
+            except ValidationError:
+                raise
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise ValidationError(f"ray {k} has an entry that is not an exact "
+                                      f"number ({type(exc).__name__}: {exc})") from None
             if p.canonical_key not in position:
                 position[p.canonical_key] = len(projectors)
                 projectors.append(p)

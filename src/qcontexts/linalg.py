@@ -9,6 +9,8 @@ and verifies every decomposition by exact reconstruction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,7 +80,7 @@ def _exact_to_complex(a, dim):
 class HermitianOperator:
     """A dim x dim Hermitian matrix on one of the two scalar backends."""
 
-    __slots__ = ("dim", "backend", "data")
+    __slots__ = ("dim", "backend", "data", "_ints")
 
     def __init__(self, dim: int, data, backend: str, validate: bool = True):
         if dim <= 0:
@@ -88,6 +90,7 @@ class HermitianOperator:
         self.dim = dim
         self.backend = backend
         self.data = data
+        self._ints = None
         if validate and not self._is_hermitian():
             raise ValidationError("matrix is not Hermitian")
 
@@ -138,6 +141,18 @@ class HermitianOperator:
             for i in range(d)
             for j in range(i, d)
         )
+
+    def _integer_form(self):
+        """``(D, p, q)``: every entry is ``(p_k + q_k sqrt(2)) / D``, exact backend.
+
+        ``p`` and ``q`` are integer tuples over the real parts of the entries,
+        row-major, followed by their imaginary parts; trailing zeros are
+        dropped. Computed once and cached.
+        """
+        form = self._ints
+        if form is None:
+            form = self._ints = _exact_integer_form(self.data)
+        return form
 
     def to_complex_array(self) -> np.ndarray:
         if self.backend == "float":
@@ -354,28 +369,28 @@ class Projector:
 
     def orthogonal_to(self, other: "Projector") -> bool:
         """PQ = 0, decided via tr(PQ) = 0 (equivalent for projectors)."""
-        k = (self._key, other._key) if self._key <= other._key else (other._key, self._key)
+        if self.matrix.backend == "exact":
+            r, s, _ = _exact_trace_parts(self.matrix, other.matrix)
+            return r == 0 and s == 0
+        eps = get_eps()
+        a, b = self._key, other._key
+        k = (eps, a, b) if a <= b else (eps, b, a)
         hit = _ORTH_MEMO.get(k)
         if hit is None:
-            t = _product_trace(self.matrix, other.matrix)
-            if self.backend == "float":
-                hit = abs(t) <= 10 * get_eps()
-            else:
-                hit = t.is_zero()
-            _ORTH_MEMO[k] = hit
+            hit = _ORTH_MEMO[k] = abs(_product_trace(self.matrix, other.matrix)) <= 10 * eps
         return hit
 
     def leq(self, other: "Projector") -> bool:
         """Subspace order: P <= Q, decided via tr(PQ) = tr(P)."""
-        k = (self._key, other._key)
+        if self.matrix.backend == "exact":
+            r, s, d = _exact_trace_parts(self.matrix, other.matrix)
+            return r == self.rank * d and s == 0
+        eps = get_eps()
+        k = (eps, self._key, other._key)
         hit = _LEQ_MEMO.get(k)
         if hit is None:
             t = _product_trace(self.matrix, other.matrix)
-            if self.backend == "float":
-                hit = abs(t - self.rank) <= 10 * get_eps()
-            else:
-                hit = t == ExactComplex(QSqrt2(self.rank))
-            _LEQ_MEMO[k] = hit
+            hit = _LEQ_MEMO[k] = abs(t - self.rank) <= 10 * eps
         return hit
 
     def is_zero(self) -> bool:
@@ -384,9 +399,9 @@ class Projector:
     def __eq__(self, other):
         if not isinstance(other, Projector):
             return NotImplemented
-        if self.backend == "float" or other.backend == "float":
-            return self.dim == other.dim and self.matrix.close_to(other.matrix)
-        return self._key == other._key
+        # the canonical key, not a tolerance, so that equal projectors hash
+        # alike and get the same context id
+        return self.backend == other.backend and self._key == other._key
 
     def __hash__(self):
         return hash(self._key)
@@ -398,20 +413,49 @@ class Projector:
         return self.matrix.to_json()
 
 
-# projector-pair predicates recur heavily during poset construction; both
-# are pure functions of the canonical keys, so memoize process-wide
+# float projector-pair predicates recur heavily during poset construction;
+# they are pure functions of the canonical keys and eps, so memoize them
 _ORTH_MEMO: dict = {}
 _LEQ_MEMO: dict = {}
 
 
+def _exact_integer_form(data):
+    entries = [x for row in data for x in row]
+    rat = [x.re.a for x in entries] + [x.im.a for x in entries]
+    irr = [x.re.b for x in entries] + [x.im.b for x in entries]
+    d = lcm(*(f.denominator for f in rat), *(f.denominator for f in irr))
+    return d, _scaled_ints(rat, d), _scaled_ints(irr, d)
+
+
+def _scaled_ints(fracs, d):
+    out = [f.numerator * (d // f.denominator) for f in fracs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _exact_trace_parts(a: HermitianOperator, b: HermitianOperator):
+    """Integers ``(r, s, D)`` with tr(AB) = (r + s sqrt(2)) / D, exact backend.
+
+    For Hermitian A and B, tr(AB) = sum_ij A_ij conj(B_ij), a dot product of
+    the integer forms; ``map`` stops at the shorter vector, which is where
+    the dropped trailing zeros would have been.
+    """
+    a._check(b)
+    da, pa, qa = a._integer_form()
+    db, pb, qb = b._integer_form()
+    r = sum(map(mul, pa, pb)) + 2 * sum(map(mul, qa, qb))
+    s = sum(map(mul, pa, qb)) + sum(map(mul, qa, pb))
+    return r, s, da * db
+
+
 def _product_trace(a: HermitianOperator, b: HermitianOperator):
-    """tr(AB) without forming the product."""
+    """tr(AB) without forming the product: a complex number on the float
+    backend, a QSqrt2 on the exact one (A and B Hermitian)."""
     if a.backend == "float":
         return complex(np.sum(a.data * b.data.T))
-    d = a.dim
-    return sum(
-        (a.data[i][j] * b.data[j][i] for i in range(d) for j in range(d)), EC_ZERO
-    )
+    r, s, d = _exact_trace_parts(a, b)
+    return QSqrt2(Fraction(r, d), Fraction(s, d))
 
 
 def _exact_gram_schmidt(vecs):
@@ -664,10 +708,9 @@ def born_probability(rho: DensityMatrix, p: Projector):
         raise ValidationError("dimension mismatch")
     if rho.backend != p.backend:
         raise BackendError("mixed scalar backends")
-    t = (rho.matrix @ p.matrix).real_trace()
     if rho.backend == "exact":
-        return t
-    v = float(t)
+        return _product_trace(rho.matrix, p.matrix)
+    v = float((rho.matrix @ p.matrix).real_trace())
     eps = get_eps()
     if v < 0:
         if v < -100 * eps:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcontexts.cli import main
 
@@ -162,8 +168,12 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     {"dim": 2, "rays": [[1, 0], [0, 1]], "bases": [[0, -1]]},
     {"dim": True, "rays": [[1]]},
     {"dim": 2, "rays": [[1, 0], [0, 1, 0]]},
+    {"dim": 2, "rays": [[1, "1/0"], [0, 1]]},
+    {"dim": 2, "rays": [[1, {}], [0, 1]]},
+    {"dim": 2, "rays": [[1, 1e400], [0, 1]]},  # written as Infinity, loaded as inf
 ], ids=["top-level-list", "null-entry", "bool-entry", "basis-index-5",
-        "basis-index-minus-1", "bool-dim", "short-ray"])
+        "basis-index-minus-1", "bool-dim", "short-ray", "zero-denominator-entry",
+        "object-entry", "overflow-entry"])
 def test_malformed_rayset_exits_2_with_one_error(tmp_path, capsys, rayset):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(rayset))
@@ -171,3 +181,58 @@ def test_malformed_rayset_exits_2_with_one_error(tmp_path, capsys, rayset):
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+# JSON values a ray file may hold where a number is expected
+ENTRY_VALUES = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from(["1/2", "-3/4", "1/0", "abc", "", "inf", "nan", "1e400"]),
+    st.sampled_from([0.5, 2.0, 1e300, float("inf"), float("nan")]),
+    st.none(), st.booleans(), st.just({}),
+    st.lists(st.one_of(st.integers(-2, 2), st.sampled_from(["1/2", "1/0", None])), max_size=3),
+)
+
+
+@st.composite
+def ray_files(draw):
+    """Mostly well-shaped small ray sets with some malformed parts."""
+    dim = draw(st.integers(1, 3)) if draw(st.integers(0, 9)) else draw(
+        st.sampled_from([0, -1, "3", None, True, 2.5]))
+    width = dim if isinstance(dim, int) and not isinstance(dim, bool) and 1 <= dim <= 3 else 2
+
+    @st.composite
+    def ray(draw):
+        if not draw(st.integers(0, 9)):
+            return draw(st.one_of(st.lists(ENTRY_VALUES, max_size=4), ENTRY_VALUES))
+        return [draw(st.integers(-2, 2)) if draw(st.integers(0, 5)) else draw(ENTRY_VALUES)
+                for _ in range(width)]
+
+    obj = {"dim": dim, "rays": draw(st.lists(ray(), max_size=5))}
+    if draw(st.booleans()):
+        obj["bases"] = draw(st.lists(st.one_of(
+            st.lists(st.integers(-1, 5), min_size=width, max_size=width), ENTRY_VALUES),
+            max_size=3))
+    if not draw(st.integers(0, 4)):
+        obj["field"] = draw(st.sampled_from(["int", "quadratic_sqrt2", "complex", 3]))
+    top = draw(st.sampled_from(["object"] * 8 + ["list", "number"]))
+    return {"object": obj, "list": [obj], "number": 3}[top]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ray_files(), st.sampled_from(["ks-check", "build-poset"]))
+def test_any_ray_file_gives_exit_0_1_or_2(obj, command):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "rays.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--rays", path])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert isinstance(error, dict) and list(error) == ["error"]
+    else:
+        json.loads(out.getvalue())

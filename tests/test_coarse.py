@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_poset
+from conftest import context_from_columns, make_rng, random_poset, random_unitary
 
 from qcontexts.coarse import (
     LatticeElement,
@@ -17,7 +17,7 @@ from qcontexts.coarse import (
     lattice,
     top,
 )
-from qcontexts.contexts import Context
+from qcontexts.contexts import Context, ContextPoset, all_coarsenings, build_poset
 from qcontexts.linalg import Projector, ValidationError
 
 
@@ -82,6 +82,52 @@ def test_functoriality_on_random_posets():
         poset = random_poset(make_rng(seed + 200), 4)
         report = coarse_functoriality_check(poset)
         assert report["ok"], report
+
+
+def functoriality_reference(poset):
+    """The check as a nested loop over all pairs of order pairs."""
+    chains = 0
+    for v3, v2 in poset.proper_pairs():
+        for v2b, v1 in poset.proper_pairs():
+            if v2b != v2:
+                continue
+            chains += 1
+            for elem in lattice(poset.contexts[v1]):
+                direct = coarse_grain(poset, elem, v3)
+                stepped = coarse_grain(poset, coarse_grain(poset, elem, v2), v3)
+                if direct != stepped:
+                    return {"ok": False, "chains_checked": chains,
+                            "counterexample": {"chain": [v3, v2, v1], "mask": elem.mask,
+                                               "direct": direct.mask, "stepped": stepped.mask}}
+    return {"ok": True, "chains_checked": chains, "counterexample": None}
+
+
+def test_functoriality_matches_nested_loop_reference():
+    posets = [random_poset(make_rng(seed + 200), 4) for seed in range(10)]
+    # every coarsening of one basis in d = 5: chains whose bottom is not
+    # trivial and whose middle has two contexts above it
+    posets.append(build_poset(all_coarsenings(context_from_columns(random_unitary(make_rng(1), 5)))))
+    broken = 0
+    for poset in posets:
+        assert coarse_functoriality_check(poset) == functoriality_reference(poset)
+        # break the map of a middle pair whose top has two contexts above
+        # it, so that chains fail in both roles and order decides which
+        # failure is reported first
+        pairs = poset.proper_pairs()
+        breakable = [(sub, sup) for sub, sup in pairs if poset.contexts[sub].n_atoms > 1
+                     and sum(1 for a, _ in pairs if a == sup) >= 2]
+        if not breakable:
+            continue
+        sub, sup = breakable[len(breakable) // 2]
+        restriction = dict(poset.restriction)
+        rmap = list(restriction[(sub, sup)])
+        rmap[0] = (rmap[0] + 1) % poset.contexts[sub].n_atoms
+        restriction[(sub, sup)] = tuple(rmap)
+        bad = ContextPoset(poset.contexts, poset.leq, poset.down, restriction, poset.bottom_id)
+        report = coarse_functoriality_check(bad)
+        assert not report["ok"] and report == functoriality_reference(bad)
+        broken += 1
+    assert broken == 1
 
 
 def test_augment_canonical_probe():

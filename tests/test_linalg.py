@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qcontexts.linalg import (
     prob_is_one,
     spectral_decompose,
 )
-from qcontexts.scalars import QSqrt2
+from qcontexts.scalars import QSqrt2, get_eps, set_eps
 
 
 def test_hermitian_validation():
@@ -144,3 +146,29 @@ def test_operator_json_roundtrip():
     a = HermitianOperator.from_entries([[1, 1j], [-1j, 0]], "float")
     b = HermitianOperator.from_json(a.to_json())
     assert b.close_to(a)
+
+
+def test_float_predicates_follow_current_eps():
+    # tr(PQ) is about 1e-6 and tr(PR) about 1 - 1e-6: decided within
+    # 10 * 1e-9 and again within 10 * 1e-5, whatever was decided before
+    old = get_eps()
+    try:
+        set_eps(1e-9)
+        p = Projector.from_ray([1, 0], "float")
+        q = Projector.from_ray([1e-3, 1], "float")
+        r = Projector.from_ray([1, 1e-3], "float")
+        assert not p.orthogonal_to(q) and not p.leq(r)
+        set_eps(1e-5)
+        assert p.orthogonal_to(q) and p.leq(r)
+    finally:
+        set_eps(old)
+
+
+def test_float_projector_equality_agrees_with_hash():
+    # [0,0] entries on either side of a rounding edge of the canonical key
+    def proj(a):
+        return Projector.from_ray([math.sqrt(a), math.sqrt(1 - a)], "float")
+
+    p, q = proj(0.50000049999), proj(0.50000050001)
+    assert (p == q) == (p.canonical_key == q.canonical_key)
+    assert p != q or hash(p) == hash(q)
