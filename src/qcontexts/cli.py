@@ -233,9 +233,8 @@ def cmd_report(args) -> int:
 def _add_common(sp, state: bool = False):
     sp.add_argument("--rays", help="ray-set JSON file or packaged fixture name")
     sp.add_argument("--poset", help="poset JSON file (float backend)")
-    sp.add_argument("--close", action="store_true", default=True,
-                    help="close the poset under meets (default on)")
-    sp.add_argument("--no-close", dest="close", action="store_false")
+    sp.add_argument("--no-close", dest="close", action="store_false",
+                    help="do not close the poset under meets")
     sp.add_argument("--pairs", action="store_true",
                     help="also generate contexts from orthogonal ray pairs")
     sp.add_argument("--coarsenings", action="store_true",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contexts import Context, ContextPoset, SpectralFunctional
+from .contexts import Context, ContextPoset, SpectralFunctional, restriction_map
 from .linalg import HermitianOperator, Projector, ValidationError
 
 LATTICE_ATOM_BOUND = 20
@@ -58,6 +58,16 @@ def lattice(v: Context):
     return [LatticeElement(v.id, m) for m in range(1 << v.n_atoms)]
 
 
+def lattice_covers(n_atoms: int):
+    """Every covering pair (p, p | 1 << i) of the lattice of n atoms, p
+    ascending, then i. An order law that holds on covers holds on all
+    pairs, by transitivity."""
+    for p in range(1 << n_atoms):
+        for i in range(n_atoms):
+            if not p >> i & 1:
+                yield p, p | 1 << i
+
+
 def top(v: Context) -> LatticeElement:
     return LatticeElement(v.id, (1 << v.n_atoms) - 1)
 
@@ -75,16 +85,32 @@ def coarse_grain(poset: ContextPoset, elem: LatticeElement, target_id: str) -> L
     src = elem.context_id
     if not poset.is_leq(target_id, src):
         raise ValidationError("target is not a subalgebra of the element's context")
-    rmap = poset.restriction[(target_id, src)]
+    return LatticeElement(target_id, image_mask(poset.restriction[(target_id, src)], elem.mask))
+
+
+def image_mask(rmap, mask: int) -> int:
+    """The atoms that the masked atoms restrict into under an atom map."""
     out = 0
-    m = elem.mask
     i = 0
-    while m:
-        if m & 1:
+    while mask:
+        if mask & 1:
             out |= 1 << rmap[i]
-        m >>= 1
+        mask >>= 1
         i += 1
-    return LatticeElement(target_id, out)
+    return out
+
+
+def projector_restrictions(poset: ContextPoset) -> dict:
+    """The atom map of every proper pair, recomputed from the projector
+    order instead of read from ``poset.restriction``: the route by which
+    the checks of naturality and of the clopen action test those tables."""
+    out = {}
+    for sub, sup in poset.proper_pairs():
+        rmap = restriction_map(poset.contexts[sub], poset.contexts[sup])
+        if rmap is None:
+            raise ValidationError(f"context {sub} is not below {sup} in the projector order")
+        out[(sub, sup)] = rmap
+    return out
 
 
 def coarse_grain_bruteforce(poset: ContextPoset, elem: LatticeElement, target_id: str) -> LatticeElement:
@@ -108,28 +134,30 @@ def coarse_grain_bruteforce(poset: ContextPoset, elem: LatticeElement, target_id
 
 
 def coarse_functoriality_check(poset: ContextPoset) -> dict:
-    """Two-step coarse-graining equals one-step, on every chain and element."""
+    """Two-step coarse-graining equals one-step, on every chain and element.
+    Coarse-graining preserves joins, so atoms decide; the masks below 1 << i
+    hold only lower atoms, so the lowest failing atom is the first failing
+    element in lattice order."""
     pairs = poset.proper_pairs()
     above: dict = {}  # context id -> the ids strictly above it, sorted
     for sub, sup in pairs:
         above.setdefault(sub, []).append(sup)
     chains = 0
     for v3, v2 in pairs:
+        r32 = poset.restriction[(v3, v2)]
         for v1 in above.get(v2, ()):
             chains += 1
-            ctx1 = poset.contexts[v1]
-            for elem in lattice(ctx1):
-                direct = coarse_grain(poset, elem, v3)
-                stepped = coarse_grain(poset, coarse_grain(poset, elem, v2), v3)
-                if direct != stepped:
+            r31 = poset.restriction[(v3, v1)]
+            for i, j in enumerate(poset.restriction[(v2, v1)]):
+                if r31[i] != r32[j]:
                     return {
                         "ok": False,
                         "chains_checked": chains,
                         "counterexample": {
                             "chain": [v3, v2, v1],
-                            "mask": elem.mask,
-                            "direct": direct.mask,
-                            "stepped": stepped.mask,
+                            "mask": 1 << i,
+                            "direct": 1 << r31[i],
+                            "stepped": 1 << r32[j],
                         },
                     }
     return {"ok": True, "chains_checked": chains, "counterexample": None}
@@ -194,23 +222,21 @@ def clopen_of(elem: LatticeElement, v: Context):
     )
 
 
-def _restriction_image_action(poset: ContextPoset, elem: LatticeElement, target_id: str):
-    """Action on clopen sets via images of restricted functionals."""
-    rmap = poset.restriction[(target_id, elem.context_id)]
-    return frozenset(
-        SpectralFunctional(target_id, rmap[i])
-        for i in range(poset.contexts[elem.context_id].n_atoms)
-        if elem.mask >> i & 1
-    )
-
-
 def clopen_iso_check(poset: ContextPoset, action=None) -> dict:
     """Verify the stagewise bijection between lattice elements and clopen
     sets, and that the clopen-set morphism action commutes with
-    coarse-graining. A different ``action`` may be injected to demonstrate
-    failure detection."""
+    coarse-graining. The default action sends each functional to the atom
+    above its own in the projector order, so it tests the poset's
+    restriction tables against the matrices. A different ``action`` may be
+    injected to demonstrate failure detection."""
     if action is None:
-        action = _restriction_image_action
+        maps = projector_restrictions(poset)
+
+        def action(p, elem, target_id):
+            rmap = maps[(target_id, elem.context_id)]
+            return clopen_of(LatticeElement(target_id, image_mask(rmap, elem.mask)),
+                             p.contexts[target_id])
+
     stages = 0
     morphisms = 0
     for cid in poset.ids():

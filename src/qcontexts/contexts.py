@@ -194,33 +194,40 @@ def _refine(parts, splitters):
 # ---------------------------------------------------------------------------
 
 
-def is_subalgebra(v2: Context, v1: Context) -> bool:
-    """True iff every atom of v2 is a sum of atoms of v1 (partition coarsening)."""
+def restriction_map(v2: Context, v1: Context):
+    """For each atom of v1, the index of the atom of v2 above it, or None
+    when some atom of v1 is under no atom of v2. Both families sum to the
+    identity, so a map exists exactly when v2 is a coarsening of v1."""
     if v2.dim != v1.dim:
         raise ValidationError("dimension mismatch")
-    # each atom of v1 must sit under exactly one atom of v2; since both
-    # families sum to the identity this forces the group sums to match
+    out = []
     for a in v1.atoms:
-        if not any(a.leq(b) for b in v2.atoms):
-            return False
-    return True
+        for j, b in enumerate(v2.atoms):
+            if a.leq(b):
+                out.append(j)
+                break
+        else:
+            return None
+    return tuple(out)
+
+
+def is_subalgebra(v2: Context, v1: Context) -> bool:
+    """True iff every atom of v2 is a sum of atoms of v1 (partition coarsening)."""
+    return restriction_map(v2, v1) is not None
 
 
 def dominating_atom_index(v2: Context, v1: Context, i: int) -> int:
     """Index of the atom of v2 containing atom i of v1 (v2 below v1)."""
-    a = v1.atoms[i]
-    for j, b in enumerate(v2.atoms):
-        if a.leq(b):
-            return j
-    raise ValidationError("no dominating atom; contexts are not comparable")
+    rmap = restriction_map(v2, v1)
+    if rmap is None:
+        raise ValidationError("second context is not a subalgebra of the first")
+    return rmap[i]
 
 
 def restrict_functional(k: SpectralFunctional, v1: Context, v2: Context) -> SpectralFunctional:
     """Restriction of a spectral functional along a subalgebra inclusion."""
     if k.context_id != v1.id:
         raise ValidationError("functional does not live on the given context")
-    if not is_subalgebra(v2, v1):
-        raise ValidationError("second context is not a subalgebra of the first")
     return SpectralFunctional(v2.id, dominating_atom_index(v2, v1, k.index))
 
 
@@ -339,9 +346,6 @@ class ContextPoset:
                 tops.append(cid)
         return tops
 
-    def restrict_index(self, sub: str, sup: str, atom_index: int) -> int:
-        return self.restriction[(sub, sup)][atom_index]
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -406,15 +410,10 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
     restriction = {}
     for a in ids:
         for b in ids:
-            va, vb = contexts[a], contexts[b]
-            if a == b:
+            rmap = restriction_map(contexts[a], contexts[b])
+            if rmap is not None:
                 leq.add((a, b))
-                restriction[(a, b)] = tuple(range(va.n_atoms))
-            elif is_subalgebra(va, vb):
-                leq.add((a, b))
-                restriction[(a, b)] = tuple(
-                    dominating_atom_index(va, vb, i) for i in range(vb.n_atoms)
-                )
+                restriction[(a, b)] = rmap
     down = {cid: tuple(sorted(x for x in ids if (x, cid) in leq)) for cid in ids}
     return ContextPoset(contexts, frozenset(leq), down, restriction, triv.id)
 

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import LatticeElement, coarse_grain, lattice
+from .coarse import LatticeElement, coarse_grain, lattice, lattice_covers
 from .contexts import Context, ContextPoset
 from .linalg import DensityMatrix, ValidationError, _product_trace, get_eps
-from .valuations import ValuationTable, principal_sieve, stage_weights
+from .valuations import (ValuationTable, _at_least, _first_disjoint_pair, _mask_weight,
+                         principal_sieve, stage_weights)
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,20 @@ def interval_from_valuation(table: ValuationTable, poset: ContextPoset) -> Inter
     where that infimum is the zero projector."""
     sets = {}
     for cid in poset.ids():
-        v = poset.contexts[cid]
-        ts = true_set(table, cid)
-        inf_mask = (1 << v.n_atoms) - 1
-        for e in ts:
-            inf_mask &= e.mask
-        if not ts:
-            inf_mask = 0
-        sets[cid] = frozenset(i for i in range(v.n_atoms) if inf_mask >> i & 1)
+        inf_mask = _true_set_infimum(table, cid)
+        sets[cid] = frozenset(i for i in range(poset.contexts[cid].n_atoms) if inf_mask >> i & 1)
     return IntervalAssignment(sets)
+
+
+def _true_set_infimum(table: ValuationTable, cid: str) -> int:
+    """Mask of the meet of the stage's true-set; 0 when the true-set is empty."""
+    ts = true_set(table, cid)
+    if not ts:
+        return 0
+    inf_mask = (1 << table.poset.contexts[cid].n_atoms) - 1
+    for e in ts:
+        inf_mask &= e.mask
+    return inf_mask
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +152,7 @@ def global_element_from_valuation(table: ValuationTable, poset: ContextPoset):
     Returns (CoarseGlobalElement, report) on success and (None, report) with
     the first violating morphism otherwise.
     """
-    choices = {}
-    for cid in poset.ids():
-        v = poset.contexts[cid]
-        ts = true_set(table, cid)
-        inf_mask = (1 << v.n_atoms) - 1
-        for e in ts:
-            inf_mask &= e.mask
-        if not ts:
-            inf_mask = 0
-        choices[cid] = inf_mask
+    choices = {cid: _true_set_infimum(table, cid) for cid in poset.ids()}
     for sub, sup in poset.proper_pairs():
         expected = coarse_grain(poset, LatticeElement(sup, choices[sup]), sub).mask
         if choices[sub] != expected:
@@ -192,8 +189,6 @@ def probability_family(rho: DensityMatrix, r, poset: ContextPoset) -> ProjectorF
     """
     if not 0 < float(r) <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
-    from .valuations import _at_least, _mask_weight
-
     weights = stage_weights(rho, poset)
     masks = {}
     for cid in poset.ids():
@@ -259,37 +254,23 @@ def check_semantic_subobject(family: ProjectorFamily, poset: ContextPoset,
     }
     upper = {"ok": True, "counterexample": None}
     for cid in poset.ids():
-        v = poset.contexts[cid]
-        full = (1 << v.n_atoms) - 1
-        for m in family.masks[cid]:
-            for q in range(full + 1):
-                if m & q == m and q not in family.masks[cid]:
-                    upper = {"ok": False, "counterexample": {"stage": cid, "p": m, "q": q}}
-                    break
-            if not upper["ok"]:
-                break
-        if not upper["ok"]:
+        ms = family.masks[cid]
+        cover = next(((p, q) for p, q in lattice_covers(poset.contexts[cid].n_atoms)
+                      if p in ms and q not in ms), None)
+        if cover is not None:
+            upper = {"ok": False, "counterexample": {"stage": cid, "p": cover[0], "q": cover[1]}}
             break
     report["monotonicity"] = upper
     excl = {"ok": True, "counterexample": None, "checked": require_exclusivity}
     if require_exclusivity:
         for cid in poset.ids():
-            ms = sorted(family.masks[cid])
-            for i, p in enumerate(ms):
-                for q in ms[i + 1 :]:
-                    if p and q and p & q == 0:
-                        excl = {"ok": False, "checked": True,
-                                "counterexample": {"stage": cid, "p": p, "q": q}}
-                        break
-                if not excl["ok"]:
-                    break
-            if not excl["ok"]:
+            pair = _first_disjoint_pair(family.masks[cid])
+            if pair is not None:
+                excl = {"ok": False, "checked": True,
+                        "counterexample": {"stage": cid, "p": pair[0], "q": pair[1]}}
                 break
     report["exclusivity"] = excl
-    report["ok"] = all(
-        report[k]["ok"]
-        for k in ("functional_composition", "null_proposition", "monotonicity", "exclusivity")
-    )
+    report["ok"] = all(prop["ok"] for prop in report.values())
     return report
 
 

@@ -18,6 +18,10 @@ from itertools import combinations, product
 from .contexts import Context, ContextPoset, SpectralFunctional, build_poset, restrict_functional
 from .linalg import Projector, ValidationError
 
+# Every poset holds the trivial context's exact dim x dim identity, so time
+# and memory grow as dim^2.
+DIM_BOUND = 32
+
 
 class RaySet:
     """Deduplicated rays with the orthogonal bases found among them.
@@ -29,8 +33,8 @@ class RaySet:
     __slots__ = ("dim", "backend", "rays", "projectors", "bases")
 
     def __init__(self, dim: int, rays, backend: str = "exact", bases=None):
-        if not _is_index(dim) or dim < 1:
-            raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+        if not _is_index(dim) or not 1 <= dim <= DIM_BOUND:
+            raise ValidationError(f"dim must be an integer in [1, {DIM_BOUND}], got {dim!r}")
         if not isinstance(rays, (list, tuple)):
             raise ValidationError("rays must be a list")
         self.dim = dim

@@ -722,14 +722,3 @@ def born_probability(rho: DensityMatrix, p: Projector):
         v = 1.0
     return v
 
-
-def prob_is_one(p, eps: float | None = None) -> bool:
-    if isinstance(p, QSqrt2):
-        return p == 1
-    return float(p) >= 1.0 - (get_eps() if eps is None else eps)
-
-
-def prob_at_least(p, r, eps: float | None = None) -> bool:
-    if isinstance(p, QSqrt2):
-        return p >= QSqrt2(Fraction(r).limit_denominator(10**9) if isinstance(r, float) else r)
-    return float(p) >= float(r) - (get_eps() if eps is None else eps)

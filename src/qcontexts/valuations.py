@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarse import LatticeElement, coarse_grain, lattice, top
+from .coarse import (LatticeElement, coarse_grain, image_mask, lattice, lattice_covers,
+                     projector_restrictions, top)
 from .contexts import ContextPoset
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .scalars import QSqrt2
@@ -180,23 +181,18 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
         "unit_proposition": {"ok": True, "counterexample": None, "checked": require_unit},
     }
 
-    for sub, sup in poset.proper_pairs():
-        for elem in lattice(poset.contexts[sup]):
-            lhs = table.sieve(coarse_grain(poset, elem, sub))
-            rhs = pullback(poset, table.sieve(elem), sub)
-            if lhs != rhs:
-                report["functional_composition"] = {
-                    "ok": False,
-                    "counterexample": {
-                        "morphism": [sub, sup],
-                        "mask": elem.mask,
-                        "valuation_of_coarse": sorted(lhs.members),
-                        "pullback": sorted(rhs.members),
-                    },
-                }
-                break
-        if not report["functional_composition"]["ok"]:
-            break
+    _, square = _first_failing_square(table, poset.restriction)
+    if square is not None:
+        sub, sup, mask, pulled, assigned = square
+        report["functional_composition"] = {
+            "ok": False,
+            "counterexample": {
+                "morphism": [sub, sup],
+                "mask": mask,
+                "valuation_of_coarse": sorted(assigned),
+                "pullback": sorted(pulled),
+            },
+        }
 
     for cid in poset.ids():
         v = poset.contexts[cid]
@@ -216,80 +212,79 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
                 }
 
     for cid in poset.ids():
-        v = poset.contexts[cid]
-        elems = lattice(v)
-        for p in elems:
-            for q in elems:
-                if p.leq(q) and not table.sieve(p).leq(table.sieve(q)):
-                    report["monotonicity"] = {
-                        "ok": False,
-                        "counterexample": {"stage": cid, "p": p.mask, "q": q.mask},
-                    }
-                    break
-            else:
-                continue
-            break
-        if not report["monotonicity"]["ok"]:
+        stage = table.maps[cid]
+        cover = next(((p, q) for p, q in lattice_covers(poset.contexts[cid].n_atoms)
+                      if not stage[p].members <= stage[q].members), None)
+        if cover is not None:
+            report["monotonicity"] = {
+                "ok": False,
+                "counterexample": {"stage": cid, "p": cover[0], "q": cover[1]},
+            }
             break
 
     if require_exclusivity:
-        full = principal_sieve
         for cid in poset.ids():
-            v = poset.contexts[cid]
-            true_v = full(poset, cid)
-            elems = [e for e in lattice(v) if e.mask]
-            for i, p in enumerate(elems):
-                for q in elems[i + 1 :]:
-                    if p.mask & q.mask:
-                        continue  # not disjoint
-                    if table.sieve(p) == true_v and table.sieve(q) == true_v:
-                        report["exclusivity"] = {
-                            "ok": False,
-                            "counterexample": {"stage": cid, "p": p.mask, "q": q.mask},
-                            "checked": True,
-                        }
-                        break
-                if not report["exclusivity"]["ok"]:
-                    break
-            if not report["exclusivity"]["ok"]:
+            true_v = principal_sieve(poset, cid)
+            pair = _first_disjoint_pair(m for m, s in table.maps[cid].items() if s == true_v)
+            if pair is not None:
+                report["exclusivity"] = {
+                    "ok": False,
+                    "counterexample": {"stage": cid, "p": pair[0], "q": pair[1]},
+                    "checked": True,
+                }
                 break
 
-    report["ok"] = all(
-        report[k]["ok"]
-        for k in (
-            "functional_composition",
-            "null_proposition",
-            "monotonicity",
-            "exclusivity",
-            "unit_proposition",
-        )
-    )
+    report["ok"] = all(axiom["ok"] for axiom in report.values())
     return report
 
 
 def natural_transformation_check(table: ValuationTable) -> dict:
     """Independent cross-check: the per-stage maps commute with the morphism
     actions of the coarse-graining presheaf and the classifier (naturality
-    square), verified square by square."""
+    square), verified square by square. Coarse-graining here follows the
+    atom maps recomputed from the projector order, so a restriction table
+    that disagrees with the matrices fails the check."""
+    squares, square = _first_failing_square(table, projector_restrictions(table.poset))
+    if square is None:
+        return {"ok": True, "squares_checked": squares, "counterexample": None}
+    sub, sup, mask, pulled, assigned = square
+    return {
+        "ok": False,
+        "squares_checked": squares,
+        "counterexample": {
+            "morphism": [sub, sup],
+            "mask": mask,
+            "pulled": sorted(pulled),
+            "assigned": sorted(assigned),
+        },
+    }
+
+
+def _first_failing_square(table: ValuationTable, restriction):
+    """Walk the squares (morphism sub < sup, element of sup) in order: each
+    commutes when the element's sieve pulled back to sub is the sieve of its
+    image under ``restriction[(sub, sup)]``. Returns the number of squares
+    visited and the first failing one, (sub, sup, mask, pulled, assigned)."""
     poset = table.poset
     squares = 0
     for sub, sup in poset.proper_pairs():
+        rmap = restriction[(sub, sup)]
         below_sub = set(poset.below(sub))
-        for elem in lattice(poset.contexts[sup]):
+        lower, upper = table.maps[sub], table.maps[sup]
+        for mask in range(1 << poset.contexts[sup].n_atoms):
             squares += 1
-            # classifier action: intersect the assigned sieve with the down-set
-            pulled = table.sieve(elem).members & below_sub
-            # presheaf action then valuation at the lower stage
-            assigned = table.sieve(coarse_grain(poset, elem, sub)).members
+            pulled = upper[mask].members & below_sub
+            assigned = lower[image_mask(rmap, mask)].members
             if pulled != assigned:
-                return {
-                    "ok": False,
-                    "squares_checked": squares,
-                    "counterexample": {
-                        "morphism": [sub, sup],
-                        "mask": elem.mask,
-                        "pulled": sorted(pulled),
-                        "assigned": sorted(assigned),
-                    },
-                }
-    return {"ok": True, "squares_checked": squares, "counterexample": None}
+                return squares, (sub, sup, mask, pulled, assigned)
+    return squares, None
+
+
+def _first_disjoint_pair(masks):
+    """The first pair p < q of disjoint nonzero masks, in sorted order, or None."""
+    ms = sorted(m for m in masks if m)
+    for i, p in enumerate(ms):
+        for q in ms[i + 1 :]:
+            if p & q == 0:
+                return p, q
+    return None

@@ -146,6 +146,13 @@ def test_report_pretty_print(tmp_path, capsys):
     assert out.index('"a"') < out.index('"b"')
 
 
+def test_close_flag_is_gone_no_close_stays(capsys):
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases", "--close")
+    assert code == 2
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases", "--no-close")
+    assert code == 0 and json.loads(out)["config"]["close"] is False
+
+
 def test_missing_input_exits_2(capsys):
     code, out = run(capsys, "valuate", "--state", "basis-0")
     assert code == 2
@@ -171,9 +178,10 @@ def test_outputs_are_deterministic(tmp_path, capsys):
     {"dim": 2, "rays": [[1, "1/0"], [0, 1]]},
     {"dim": 2, "rays": [[1, {}], [0, 1]]},
     {"dim": 2, "rays": [[1, 1e400], [0, 1]]},  # written as Infinity, loaded as inf
+    {"dim": 1000000, "rays": []},
 ], ids=["top-level-list", "null-entry", "bool-entry", "basis-index-5",
         "basis-index-minus-1", "bool-dim", "short-ray", "zero-denominator-entry",
-        "object-entry", "overflow-entry"])
+        "object-entry", "overflow-entry", "huge-dim"])
 def test_malformed_rayset_exits_2_with_one_error(tmp_path, capsys, rayset):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(rayset))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from qcontexts.linalg import (
     ValidationError,
     apply_function,
     born_probability,
-    prob_at_least,
-    prob_is_one,
     spectral_decompose,
 )
 from qcontexts.scalars import QSqrt2, get_eps, set_eps
@@ -139,7 +138,7 @@ def test_born_probability_exact():
     v = born_probability(rho, p)
     assert isinstance(v, QSqrt2)
     assert float(v) == pytest.approx(1 / 3)
-    assert prob_at_least(v, 0.25) and not prob_is_one(v)
+    assert v >= QSqrt2(Fraction(1, 4)) and v != 1
 
 
 def test_operator_json_roundtrip():
