@@ -45,12 +45,10 @@ def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
     holding a density matrix."""
     if spec == "maximally-mixed":
         return DensityMatrix.maximally_mixed(dim, backend)
-    if spec.startswith("basis-"):
-        k = int(spec[len("basis-"):])
-        if not 0 <= k < dim:
-            raise ValidationError(f"basis index {k} out of range for dim {dim}")
-        vec = [0] * dim
-        vec[k] = 1
+    vec = _state_vector(spec, dim)
+    if vec is not None:
+        if backend == "float":
+            vec = [float(x) for x in vec]
         return DensityMatrix.pure(vec, backend)
     if spec.startswith("diag:"):
         parts = [Fraction(x) for x in spec[len("diag:"):].split(",")]
@@ -59,13 +57,23 @@ def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
         if backend == "float":
             return DensityMatrix.from_diag([float(x) for x in parts], backend)
         return DensityMatrix.from_diag(parts, backend)
-    if spec.startswith("vec:"):
-        parts = [Fraction(x) for x in spec[len("vec:"):].split(",")]
-        if backend == "float":
-            return DensityMatrix.pure([float(x) for x in parts], backend)
-        return DensityMatrix.pure(parts, backend)
     with open(spec) as fh:
         return DensityMatrix.from_json(json.load(fh))
+
+
+def _state_vector(spec: str, dim: int):
+    """The vector of a pure-state spec ('basis-k' or 'vec:..'); None for
+    any other spec."""
+    if spec.startswith("basis-"):
+        k = int(spec[len("basis-"):])
+        if not 0 <= k < dim:
+            raise ValidationError(f"basis index {k} out of range for dim {dim}")
+        vec = [0] * dim
+        vec[k] = 1
+        return vec
+    if spec.startswith("vec:"):
+        return [Fraction(x) for x in spec[len("vec:"):].split(",")]
+    return None
 
 
 def _parse_r(args):
@@ -144,8 +152,8 @@ def cmd_intervals(args) -> int:
     semantic = intervals.check_semantic_subobject(family, poset)
 
     ideal_matches = None
-    if args.state.startswith(("vec:", "basis-")):
-        psi = _pure_vector(args.state, poset.dim)
+    psi = _state_vector(args.state, poset.dim)
+    if psi is not None:
         ideal = intervals.ideal_valuation(psi, poset)
         ideal_matches = ideal.sets == true_sub.sets
 
@@ -165,15 +173,6 @@ def cmd_intervals(args) -> int:
     }
     _emit(report, args)
     return 0 if ok else 1
-
-
-def _pure_vector(spec: str, dim: int):
-    if spec.startswith("basis-"):
-        k = int(spec[len("basis-"):])
-        vec = [0] * dim
-        vec[k] = 1
-        return vec
-    return [Fraction(x) for x in spec[len("vec:"):].split(",")]
 
 
 def cmd_ks_check(args) -> int:

@@ -19,6 +19,7 @@ from .linalg import (
     HermitianOperator,
     Projector,
     ValidationError,
+    _product_trace,
     born_probability,
     get_eps,
     spectral_decompose,
@@ -93,10 +94,10 @@ class Context:
 
 
 def _atom_coefficient(a: HermitianOperator, atom: Projector):
-    t = (a @ atom.matrix).real_trace()
+    t = _product_trace(a, atom.matrix)
     if a.backend == "exact":
         return t / QSqrt2(atom.rank)
-    return float(t) / atom.rank
+    return t.real / atom.rank
 
 
 @dataclass(frozen=True)
@@ -216,19 +217,15 @@ def is_subalgebra(v2: Context, v1: Context) -> bool:
     return restriction_map(v2, v1) is not None
 
 
-def dominating_atom_index(v2: Context, v1: Context, i: int) -> int:
-    """Index of the atom of v2 containing atom i of v1 (v2 below v1)."""
+def restrict_functional(k: SpectralFunctional, v1: Context, v2: Context) -> SpectralFunctional:
+    """Restriction of a spectral functional along a subalgebra inclusion:
+    the atom of v2 containing atom k of v1."""
+    if k.context_id != v1.id:
+        raise ValidationError("functional does not live on the given context")
     rmap = restriction_map(v2, v1)
     if rmap is None:
         raise ValidationError("second context is not a subalgebra of the first")
-    return rmap[i]
-
-
-def restrict_functional(k: SpectralFunctional, v1: Context, v2: Context) -> SpectralFunctional:
-    """Restriction of a spectral functional along a subalgebra inclusion."""
-    if k.context_id != v1.id:
-        raise ValidationError("functional does not live on the given context")
-    return SpectralFunctional(v2.id, dominating_atom_index(v2, v1, k.index))
+    return SpectralFunctional(v2.id, rmap[k.index])
 
 
 def meet(v1: Context, v2: Context) -> Context:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .coarse import LatticeElement, coarse_grain, lattice, lattice_covers
 from .contexts import Context, ContextPoset
-from .linalg import DensityMatrix, ValidationError, _product_trace, get_eps
+from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .valuations import (ValuationTable, _at_least, _first_disjoint_pair, _mask_weight,
                          principal_sieve, stage_weights)
 
@@ -68,13 +68,10 @@ def true_set(table: ValuationTable, cid: str):
 def support(rho: DensityMatrix, v: Context) -> LatticeElement:
     """The least projector in the context's lattice with full Born weight:
     the sum of atoms carrying positive weight."""
+    threshold = 0 if v.backend == "exact" else get_eps()
     mask = 0
     for i, atom in enumerate(v.atoms):
-        if v.backend == "exact":
-            positive = _product_trace(rho.matrix, atom.matrix) > 0
-        else:
-            positive = float((rho.matrix @ atom.matrix).real_trace()) > get_eps()
-        if positive:
+        if born_probability(rho, atom) > threshold:
             mask |= 1 << i
     return LatticeElement(v.id, mask)
 

@@ -358,9 +358,6 @@ class Projector:
         eye = HermitianOperator.identity(self.dim, self.backend)
         return Projector(eye - self.matrix, validate=False)
 
-    def product(self, other: "Projector") -> HermitianOperator:
-        return self.matrix @ other.matrix
-
     def plus(self, other: "Projector") -> "Projector":
         """Sum of orthogonal projectors."""
         if not self.orthogonal_to(other):
@@ -372,26 +369,14 @@ class Projector:
         if self.matrix.backend == "exact":
             r, s, _ = _exact_trace_parts(self.matrix, other.matrix)
             return r == 0 and s == 0
-        eps = get_eps()
-        a, b = self._key, other._key
-        k = (eps, a, b) if a <= b else (eps, b, a)
-        hit = _ORTH_MEMO.get(k)
-        if hit is None:
-            hit = _ORTH_MEMO[k] = abs(_product_trace(self.matrix, other.matrix)) <= 10 * eps
-        return hit
+        return abs(_product_trace(self.matrix, other.matrix)) <= 10 * get_eps()
 
     def leq(self, other: "Projector") -> bool:
         """Subspace order: P <= Q, decided via tr(PQ) = tr(P)."""
         if self.matrix.backend == "exact":
             r, s, d = _exact_trace_parts(self.matrix, other.matrix)
             return r == self.rank * d and s == 0
-        eps = get_eps()
-        k = (eps, self._key, other._key)
-        hit = _LEQ_MEMO.get(k)
-        if hit is None:
-            t = _product_trace(self.matrix, other.matrix)
-            hit = _LEQ_MEMO[k] = abs(t - self.rank) <= 10 * eps
-        return hit
+        return abs(_product_trace(self.matrix, other.matrix) - self.rank) <= 10 * get_eps()
 
     def is_zero(self) -> bool:
         return self.rank == 0
@@ -411,12 +396,6 @@ class Projector:
 
     def to_json(self) -> dict:
         return self.matrix.to_json()
-
-
-# float projector-pair predicates recur heavily during poset construction;
-# they are pure functions of the canonical keys and eps, so memoize them
-_ORTH_MEMO: dict = {}
-_LEQ_MEMO: dict = {}
 
 
 def _exact_integer_form(data):
@@ -450,10 +429,11 @@ def _exact_trace_parts(a: HermitianOperator, b: HermitianOperator):
 
 
 def _product_trace(a: HermitianOperator, b: HermitianOperator):
-    """tr(AB) without forming the product: a complex number on the float
-    backend, a QSqrt2 on the exact one (A and B Hermitian)."""
+    """tr(AB) without forming the product, for Hermitian B: the dot product
+    sum_ij A_ij conj(B_ij). A complex number on the float backend; its real
+    part, a QSqrt2, on the exact one."""
     if a.backend == "float":
-        return complex(np.sum(a.data * b.data.T))
+        return complex(np.vdot(b.data, a.data))
     r, s, d = _exact_trace_parts(a, b)
     return QSqrt2(Fraction(r, d), Fraction(s, d))
 
@@ -472,6 +452,28 @@ def _exact_gram_schmidt(vecs):
     return basis
 
 
+def _exact_is_psd(data, dim) -> bool:
+    """Positive semidefiniteness of an exact Hermitian matrix by symmetric
+    (LDL*) elimination: each pivot is a diagonal entry of a Schur complement
+    and must be non-negative, and a zero pivot needs a zero row, because a
+    PSD matrix with a zero diagonal entry is zero on that row."""
+    m = [list(row) for row in data]
+    for k in range(dim):
+        pivot = m[k][k]
+        sign = pivot.re.sign()
+        if sign < 0:
+            return False
+        if sign == 0:
+            if any(not m[k][j].is_zero() for j in range(k + 1, dim)):
+                return False
+            continue
+        for i in range(k + 1, dim):
+            f = m[i][k] / pivot
+            for j in range(k + 1, dim):
+                m[i][j] = m[i][j] - f * m[k][j]
+    return True
+
+
 # ---------------------------------------------------------------------------
 # density matrices
 # ---------------------------------------------------------------------------
@@ -484,14 +486,18 @@ class DensityMatrix:
 
     def __init__(self, matrix: HermitianOperator, validate: bool = True):
         self.matrix = matrix
-        if validate:
-            t = matrix.real_trace()
-            if abs(float(t) - 1.0) > 1e-7:
-                raise ValidationError("density matrix trace is not 1")
-            # PSD is checked on the float shadow; adequate at desk scale
-            w = np.linalg.eigvalsh(matrix.to_complex_array())
-            if w.min() < -1e-7:
-                raise ValidationError("density matrix is not positive semidefinite")
+        if not validate:
+            return
+        if matrix.backend == "exact":
+            trace_one = matrix.trace() == 1
+            psd = _exact_is_psd(matrix.data, matrix.dim)
+        else:
+            trace_one = abs(matrix.real_trace() - 1.0) <= 1e-7
+            psd = np.linalg.eigvalsh(matrix.data).min() >= -1e-7
+        if not trace_one:
+            raise ValidationError("density matrix trace is not 1")
+        if not psd:
+            raise ValidationError("density matrix is not positive semidefinite")
 
     @property
     def dim(self) -> int:
@@ -589,13 +595,7 @@ def _spectral_exact(a: HermitianOperator):
         kernel = _exact_nullspace(shifted, a.dim)
         if not kernel:
             raise BackendError("numeric eigenvalue hint failed exact verification")
-        basis = _exact_gram_schmidt(kernel)
-        acc = _exact_zero(a.dim)
-        for v in basis:
-            n = sum((x.conj() * x for x in v), EC_ZERO)
-            p = tuple(tuple(v[i] * v[j].conj() / n for j in range(a.dim)) for i in range(a.dim))
-            acc = _exact_add(acc, p, a.dim)
-        out.append((lam, Projector(HermitianOperator(a.dim, acc, "exact", validate=False), validate=False)))
+        out.append((lam, Projector.from_span(kernel, "exact")))
     # exact verification: completeness and reconstruction
     total = _exact_zero(a.dim)
     recon = _exact_zero(a.dim)
@@ -710,7 +710,7 @@ def born_probability(rho: DensityMatrix, p: Projector):
         raise BackendError("mixed scalar backends")
     if rho.backend == "exact":
         return _product_trace(rho.matrix, p.matrix)
-    v = float((rho.matrix @ p.matrix).real_trace())
+    v = _product_trace(rho.matrix, p.matrix).real
     eps = get_eps()
     if v < 0:
         if v < -100 * eps:

@@ -114,6 +114,17 @@ def test_intervals_maximally_mixed_full_spectrum(tmp_path, capsys):
     assert all(len(v) in (1, 3) for v in report["true_subobject"].values())
 
 
+@pytest.mark.parametrize("command, state, reason", [
+    ("valuate", "diag:100000001/100000000,-1/100000000", "positive semidefinite"),
+    ("verify-axioms", "diag:1/2,50000001/100000000", "trace is not 1"),
+])
+def test_invalid_exact_state_exits_2(capsys, command, state, reason):
+    # off by 1e-8: inside a float tolerance, but not a density matrix
+    code, out = run(capsys, command, "--rays", "dim2_two_bases", "--state", state)
+    assert code == 2
+    assert out.count("\n") == 1 and reason in json.loads(out)["error"]
+
+
 def test_ks_check_fixtures(capsys):
     code, out = run(capsys, "ks-check", "--rays", "dim2_two_bases")
     assert code == 0

@@ -1,13 +1,18 @@
-"""The exact trace kernel against the Fraction arithmetic it replaces.
+"""The trace pairing against the full matrix products it replaces.
 
-Exact tr(AB), `orthogonal_to`, `leq`, Born weights and meets are computed
-from integer forms of the matrices; each is checked here against the
-full-matrix computation over Q(sqrt 2).
+tr(AB), `orthogonal_to`, `leq`, Born weights and meets are computed from a
+dot product of the entries of A and B: over integer forms of the matrices
+on the exact backend, with `np.vdot` on the float one. Each is checked here
+against the full-matrix computation, over Q(sqrt 2) and in floating point.
+The exact positive-semidefiniteness test of density matrices is checked
+against numpy's eigenvalues.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +22,8 @@ from qcontexts.linalg import (
     DensityMatrix,
     HermitianOperator,
     Projector,
+    ValidationError,
+    _exact_is_psd,
     _product_trace,
     born_probability,
 )
@@ -112,6 +119,97 @@ def test_predicates_match_matrix_products(pair):
 def test_exact_born_probability_is_trace_of_product(pair):
     rho, p = pair
     assert born_probability(rho, p) == (rho.matrix @ p.matrix).real_trace()
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_and_projector())
+def test_mixed_exact_states_are_psd(pair):
+    rho, p = pair
+    assert _exact_is_psd(rho.matrix.data, rho.dim)
+    assert _exact_is_psd(p.matrix.data, p.dim)
+    assert not _exact_is_psd(rho.matrix.scale(-1).data, rho.dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims.flatmap(hermitian), st.sampled_from([Fraction(1, 10), Fraction(-1, 10)]))
+def test_exact_psd_matches_eigenvalues(h, margin):
+    """Shift a random rational Hermitian matrix so that its least eigenvalue
+    is about +-1/10, well inside or outside the cone."""
+    least = float(np.linalg.eigvalsh(h.to_complex_array()).min())
+    shift = Fraction(-least).limit_denominator(1000) + margin
+    m = h + HermitianOperator.identity(h.dim, "exact").scale(shift)
+    least = float(np.linalg.eigvalsh(m.to_complex_array()).min())
+    assert abs(least) > 1e-2
+    assert _exact_is_psd(m.data, m.dim) == (least > 0)
+
+
+def test_exact_states_are_validated_exactly():
+    tiny = Fraction(1, 10**8)
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        DensityMatrix.from_diag([1 + tiny, -tiny], "exact")
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix.from_diag([Fraction(1, 2), Fraction(1, 2) + tiny], "exact")
+    # off-diagonal mass beyond the diagonal: det = 1/4 - (1/4 + 2 tiny^2) < 0
+    half = ExactComplex(Fraction(1, 2))
+    off = ExactComplex(Fraction(1, 2), QSqrt2(0, tiny))
+    m = HermitianOperator(2, ((half, off), (off.conj(), half)), "exact")
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        DensityMatrix(m)
+    # a zero pivot is allowed only with a zero row
+    DensityMatrix(HermitianOperator.diag([0, 1], "exact"))
+    coupled = HermitianOperator(2, ((EC_ZERO, ExactComplex(tiny)),
+                                    (ExactComplex(tiny), ExactComplex(1))), "exact")
+    assert not _exact_is_psd(coupled.data, 2)
+
+
+# -- the float pairing -------------------------------------------------------
+
+
+def _float_hermitian(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return HermitianOperator(dim, z + z.conj().T, "float")
+
+
+def float_projector_pair(seed):
+    """``(kind, P, Q)`` in d <= 5: P spans the first k columns of a random
+    unitary, and Q is its complement, a span of more columns (above P), a
+    span of other columns (orthogonal to P) or of random vectors."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    cols = list(np.linalg.qr(z)[0].T)
+    k = int(rng.integers(1, dim + 1))
+    p = Projector.from_span(cols[:k], "float")
+    kind = ["complement", "above", "orthogonal", "random"][int(rng.integers(4))]
+    if kind == "complement":
+        return kind, p, p.complement()
+    if kind == "above":
+        return kind, p, Projector.from_span(cols[: int(rng.integers(k, dim + 1))], "float")
+    if kind == "orthogonal" and k < dim:
+        return kind, p, Projector.from_span(cols[k : int(rng.integers(k + 1, dim + 1))], "float")
+    z = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+    return "random", p, Projector.from_span(list(z), "float")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_predicates_match_matrix_products(seed):
+    kind, p, q = float_projector_pair(seed)
+    pq = p.matrix @ q.matrix
+    assert p.orthogonal_to(q) == pq.is_zero() == (kind in ("complement", "orthogonal"))
+    assert q.orthogonal_to(p) == pq.is_zero()
+    assert p.leq(q) == pq.close_to(p.matrix) == (kind == "above" or p.dim == p.rank == q.rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_product_trace_matches_numpy(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 6))
+    a, b = _float_hermitian(rng, dim), _float_hermitian(rng, dim)
+    assert abs(_product_trace(a, b) - np.trace(a.data @ b.data)) <= 1e-12
+    _, p, q = float_projector_pair(seed)
+    assert abs(_product_trace(p.matrix, q.matrix) - np.trace(p.matrix.data @ q.matrix.data)) <= 1e-12
 
 
 def full_matrix_meet(v1: Context, v2: Context) -> Context:
