@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .linalg import (
@@ -120,14 +121,21 @@ def spectrum(v: Context):
 
 @dataclass(frozen=True)
 class StateOnContext:
-    """A state on a context: non-negative per-atom weights summing to 1."""
+    """A state on a context: non-negative per-atom weights summing to 1,
+    exactly in Q(sqrt 2) when every weight is exact (QSqrt2, Fraction or
+    int), within 1e-6 otherwise."""
 
     context_id: str
     weights: tuple
 
     def __post_init__(self):
-        total = sum(float(w) for w in self.weights)
-        if abs(total - 1.0) > 1e-6:
+        if any(w < 0 for w in self.weights):
+            raise ValidationError("state weight is negative")
+        if all(isinstance(w, (QSqrt2, Fraction, int)) for w in self.weights):
+            one = sum(self.weights, QSqrt2(0)) == 1
+        else:
+            one = abs(sum(float(w) for w in self.weights) - 1.0) <= 1e-6
+        if not one:
             raise ValidationError("state weights do not sum to 1")
 
 
@@ -228,11 +236,12 @@ def restrict_functional(k: SpectralFunctional, v1: Context, v2: Context) -> Spec
     return SpectralFunctional(v2.id, rmap[k.index])
 
 
-def meet(v1: Context, v2: Context) -> Context:
-    """Largest context below both: merge atoms along the overlap graph."""
-    if v1.dim != v2.dim:
-        raise ValidationError("dimension mismatch")
-    n1, n2 = v1.n_atoms, v2.n_atoms
+def _overlap_groups(n1: int, n2: int, overlaps):
+    """The atoms 0..n1-1 of a first context, grouped by the components of
+    the overlap graph they form with the atoms 0..n2-1 of a second one
+    (``overlaps(i, j)``: atom i of the first is not orthogonal to atom j of
+    the second). Each group is ascending; groups come in order of their
+    first atom."""
     parent = list(range(n1 + n2))
 
     def find(x):
@@ -241,46 +250,58 @@ def meet(v1: Context, v2: Context) -> Context:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
     for i in range(n1):
         for j in range(n2):
-            if not v1.atoms[i].orthogonal_to(v2.atoms[j]):
-                union(i, n1 + j)
+            if overlaps(i, j):
+                rx, ry = find(i), find(n1 + j)
+                if rx != ry:
+                    parent[rx] = ry
     groups: dict[int, list[int]] = {}
     for i in range(n1):
         groups.setdefault(find(i), []).append(i)
-    if len(groups) == n1:
+    return list(groups.values())
+
+
+def _block_atom(atoms, block) -> Projector:
+    """The sum of the given atoms (indices into ``atoms``, in that order)."""
+    if len(block) == 1:
+        return atoms[block[0]]
+    m = atoms[block[0]].matrix
+    for i in block[1:]:
+        m = m + atoms[i].matrix
+    return Projector(m, validate=False)
+
+
+def meet(v1: Context, v2: Context) -> Context:
+    """Largest context below both: merge atoms along the overlap graph."""
+    if v1.dim != v2.dim:
+        raise ValidationError("dimension mismatch")
+    a1, a2 = v1.atoms, v2.atoms
+    groups = _overlap_groups(len(a1), len(a2), lambda i, j: not a1[i].orthogonal_to(a2[j]))
+    if len(groups) == len(a1):
         return v1
     if len(groups) == 1:
         return Context.trivial(v1.dim, v1.backend)
-    atoms = []
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            atoms.append(v1.atoms[idxs[0]])
-            continue
-        m = v1.atoms[idxs[0]].matrix
-        for i in idxs[1:]:
-            m = m + v1.atoms[i].matrix
-        atoms.append(Projector(m, validate=False))
-    return Context(atoms, validate=False)
+    return Context([_block_atom(a1, g) for g in groups], validate=False)
+
+
+# Bell(8) = 4,140 coarsenings of one 8-atom context would put some 17M
+# context pairs into the order pass; coarse.LATTICE_ATOM_BOUND is the
+# matching bound on lattice materialization.
+COARSENING_ATOM_BOUND = 7
 
 
 def all_coarsenings(v: Context):
     """Every context coarser than v (all merges of its atoms), incl. v itself."""
-    out = []
-    for part in _set_partitions(list(range(v.n_atoms))):
-        atoms = []
-        for block in part:
-            m = v.atoms[block[0]].matrix
-            for i in block[1:]:
-                m = m + v.atoms[i].matrix
-            atoms.append(Projector(m, validate=False))
-        out.append(Context(atoms, validate=False))
-    return out
+    if v.n_atoms > COARSENING_ATOM_BOUND:
+        raise ValidationError(
+            f"context has {v.n_atoms} atoms; coarsenings are enumerated up to "
+            f"{COARSENING_ATOM_BOUND}"
+        )
+    return [
+        Context([_block_atom(v.atoms, block) for block in part], validate=False)
+        for part in _set_partitions(list(range(v.n_atoms)))
+    ]
 
 
 def _set_partitions(items):
@@ -354,9 +375,17 @@ class ContextPoset:
 
     @classmethod
     def from_json(cls, obj: dict):
-        dim = int(obj["dim"])
+        if not isinstance(obj, dict):
+            raise ValidationError("poset JSON must be an object")
+        dim = obj.get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValidationError("poset JSON needs an integer dim")
+        if not isinstance(obj.get("contexts"), list):
+            raise ValidationError("poset JSON needs a contexts array")
         gens = []
         for c in obj["contexts"]:
+            if not (isinstance(c, dict) and isinstance(c.get("atoms"), list)):
+                raise ValidationError("each poset context needs an atoms array")
             atoms = [Projector.from_matrix(HermitianOperator.from_json(a)) for a in c["atoms"]]
             if atoms and atoms[0].dim != dim:
                 raise ValidationError("context dimension disagrees with poset dimension")
@@ -368,9 +397,11 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
                 backend: str = "float") -> ContextPoset:
     """Assemble a poset from generator contexts.
 
-    Deduplicates, always adds the trivial context, optionally closes under
-    pairwise meets to a fixed point, then computes the full order relation
-    and the restriction maps.
+    Deduplicates (a later generator with a given id replaces an earlier one,
+    and the trivial context replaces any generator equal to it), always adds
+    the trivial context, optionally closes under pairwise meets to a fixed
+    point, then computes the full order relation and the restriction maps.
+    Every one of these decisions is read from one ``_AtomTable``.
     """
     if generators:
         dim = generators[0].dim
@@ -384,35 +415,157 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
         contexts[g.id] = g
     triv = Context.trivial(dim, backend)
     contexts[triv.id] = triv
+    table = _AtomTable()
+    rows = {cid: table.row(v) for cid, v in contexts.items()}
     if close_under_meet:
-        done = set()
-        while True:
-            added = []
-            items = list(contexts.values())
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    pair = (items[i].id, items[j].id)
-                    if pair in done:
-                        continue
-                    done.add(pair)
-                    m = meet(items[i], items[j])
-                    if m.id not in contexts and all(m.id != n.id for n in added):
-                        added.append(m)
-            if not added:
-                break
-            for m in added:
-                contexts[m.id] = m
+        _close_under_meet(contexts, rows, table)
+    return _ordered_poset(contexts, rows, table, triv.id)
+
+
+class _AtomTable:
+    """The distinct atoms of one poset build and their pairwise relations.
+
+    Atoms are interned by canonical key. A new atom's relations to every
+    atom seen so far are decided once, by ``Projector.leq`` and
+    ``Projector.orthogonal_to``, and kept as int bitmasks over atom indices:
+    ``above[i]`` holds the atoms >= atom i, ``overlap[i]`` the atoms not
+    orthogonal to atom i. A context is then the tuple of its atoms'
+    indices, in its own atom order (its "row").
+    """
+
+    __slots__ = ("index", "atoms", "above", "overlap")
+
+    def __init__(self):
+        self.index = {}
+        self.atoms = []
+        self.above = []
+        self.overlap = []
+
+    def intern(self, p: Projector) -> int:
+        i = self.index.get(p.canonical_key)
+        if i is not None:
+            return i
+        i = len(self.atoms)
+        self.index[p.canonical_key] = i
+        self.atoms.append(p)
+        self.above.append(0)
+        self.overlap.append(0)
+        bit = 1 << i
+        for j, q in enumerate(self.atoms):
+            if p.leq(q):
+                self.above[i] |= 1 << j
+            if j != i and q.leq(p):
+                self.above[j] |= bit
+            if not p.orthogonal_to(q):
+                self.overlap[i] |= 1 << j
+                self.overlap[j] |= bit
+        return i
+
+    def row(self, v: Context) -> tuple:
+        return tuple(self.intern(a) for a in v.atoms)
+
+
+def _mask(row) -> int:
+    return sum(1 << i for i in row)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
+    """Add pairwise meets to ``contexts`` and ``rows`` until none is new.
+
+    Rounds visit the pairs of contexts in insertion order, each pair once,
+    and a new meet is added as first found; so the contexts are the ones a
+    pairwise ``meet`` loop would add. A meet that merges nothing is its
+    first argument, and one that merges everything is the trivial context:
+    both are present already. The sum of a merged set of atoms is built
+    once per set and interned by its key, since two sets can span the same
+    subspace.
+    """
+    known = {_mask(row) for row in rows.values()}
+    merged = {}
+    items = list(contexts.values())
+    done = 0
+    while True:
+        added = {}
+        for i, v1 in enumerate(items):
+            r1 = rows[v1.id]
+            ov = [table.overlap[a] for a in r1]
+            m1 = _mask(r1)
+            for v2 in items[max(i + 1, done):]:
+                r2 = rows[v2.id]
+                m2 = _mask(r2)
+                # an atom on each side overlapping every atom of the other
+                # side connects the overlap graph: the meet is trivial
+                if any(o & m2 == m2 for o in ov) and any(table.overlap[b] & m1 == m1 for b in r2):
+                    continue
+                groups = _overlap_groups(len(r1), len(r2), lambda x, y: ov[x] >> r2[y] & 1)
+                if len(groups) in (1, len(r1)):
+                    continue
+                atoms, mask = [], 0
+                for g in groups:
+                    if len(g) == 1:
+                        atom, idx = v1.atoms[g[0]], r1[g[0]]
+                    else:
+                        key = _mask(r1[x] for x in g)
+                        if key not in merged:
+                            atom = _block_atom(v1.atoms, g)
+                            merged[key] = atom, table.intern(atom)
+                        atom, idx = merged[key]
+                    atoms.append(atom)
+                    mask |= 1 << idx
+                if mask not in known and mask not in added:
+                    added[mask] = Context(atoms, validate=False)
+        done = len(items)
+        if not added:
+            return
+        for mask, m in added.items():
+            contexts[m.id] = m
+            rows[m.id] = table.row(m)
+            known.add(mask)
+            items.append(m)
+
+
+def _ordered_poset(contexts: dict, rows: dict, table: _AtomTable, bottom_id: str) -> ContextPoset:
+    """The order relation and restriction maps, by table lookup.
+
+    a <= b when every atom of b lies under an atom of a, and the restriction
+    map sends atom i of b to the one atom of a in ``above[i]`` (one at most,
+    since a's atoms are mutually orthogonal). ``reach[i]`` holds the
+    contexts, as bits over sorted ids, with an atom above atom i, so the
+    contexts below b are the AND of ``reach`` over b's atoms.
+    """
     ids = sorted(contexts)
-    leq = set()
+    masks = [_mask(rows[cid]) for cid in ids]
+    holding = [0] * len(table.atoms)
+    for k, cid in enumerate(ids):
+        for i in rows[cid]:
+            holding[i] |= 1 << k
+    reach = []
+    for up in table.above:
+        m = 0
+        for j in _bits(up):
+            m |= holding[j]
+        reach.append(m)
     restriction = {}
-    for a in ids:
-        for b in ids:
-            rmap = restriction_map(contexts[a], contexts[b])
-            if rmap is not None:
-                leq.add((a, b))
-                restriction[(a, b)] = rmap
-    down = {cid: tuple(sorted(x for x in ids if (x, cid) in leq)) for cid in ids}
-    return ContextPoset(contexts, frozenset(leq), down, restriction, triv.id)
+    down = {}
+    for b in ids:
+        below = (1 << len(ids)) - 1
+        for i in rows[b]:
+            below &= reach[i]
+        down[b] = tuple(ids[k] for k in _bits(below))
+        for k in _bits(below):
+            row = rows[ids[k]]
+            restriction[(ids[k], b)] = tuple(
+                row.index(next(_bits(table.above[i] & masks[k]))) for i in rows[b])
+    restriction = dict(sorted(restriction.items()))
+    return ContextPoset(contexts, frozenset(restriction), down, restriction, bottom_id)
 
 
 # ---------------------------------------------------------------------------

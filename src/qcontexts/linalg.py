@@ -236,9 +236,16 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, obj: dict, backend: str = "float"):
-        dim = int(obj["dim"])
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
+        if not isinstance(obj, dict):
+            raise ValidationError("operator JSON must be an object")
+        dim = obj.get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValidationError("operator JSON needs an integer dim")
+        try:
+            re = np.array(obj.get("re"), dtype=float)
+            im = np.array(obj.get("im"), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"operator JSON entries are not numbers: {exc}") from None
         if re.shape != (dim, dim) or im.shape != (dim, dim):
             raise ValidationError("operator JSON has wrong shape")
         if backend != "float":
@@ -332,12 +339,14 @@ class Projector:
 
     @classmethod
     def from_span(cls, vecs, backend: str = "float"):
-        """Projector onto the span of the given vectors (Gram-Schmidt)."""
+        """Projector onto the span of the given vectors: on the float
+        backend the left singular vectors whose singular value exceeds
+        1e-10 * max(1, largest), so dependent vectors keep the whole span;
+        Gram-Schmidt on the exact one."""
         if backend == "float":
             v = np.array(vecs, dtype=complex).T
-            q, r = np.linalg.qr(v)
-            keep = np.abs(np.diag(r)) > 1e-10
-            q = q[:, keep]
+            u, sigma, _ = np.linalg.svd(v, full_matrices=False)
+            q = u[:, sigma > 1e-10 * max(1.0, float(sigma.max(initial=0.0)))]
             return cls(HermitianOperator(v.shape[0], q @ q.conj().T, "float", validate=False))
         basis = _exact_gram_schmidt([[exact_entry(x) for x in v] for v in vecs])
         dim = len(vecs[0])

@@ -1,0 +1,182 @@
+"""The atom-table poset build against the pairwise reference builder.
+
+``build_poset`` decides each distinct pair of atoms once and then orders and
+meets contexts by table lookup; ``poset_reference.reference_build_poset``
+decides every pair of contexts through the projector predicates. Both must
+give the same contexts, order, down-sets, restriction maps and poset JSON:
+on every packaged fixture with and without pair contexts and coarsenings, on
+random integer ray sets, and on the float posets of the ``presheaf-float``
+benchmark workload.
+"""
+
+import argparse
+import contextlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from itertools import product
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from poset_reference import reference_build_poset
+from qcontexts import cli, contexts, ks
+from qcontexts.contexts import Context, ContextPoset, build_poset, poset_to_json_str
+from qcontexts.linalg import HermitianOperator, Projector, _product_trace
+from qcontexts.scalars import get_eps
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = ["dim2_two_bases", "ks18", "peres33"]
+
+
+@contextlib.contextmanager
+def reference_builder():
+    """Route every poset build through the reference builder."""
+    saved = contexts.build_poset, ks.build_poset
+    contexts.build_poset = ks.build_poset = reference_build_poset
+    try:
+        yield
+    finally:
+        contexts.build_poset, ks.build_poset = saved
+
+
+def load(rays, pairs, coarsenings):
+    args = argparse.Namespace(rays=rays, poset=None, close=True, pairs=pairs,
+                              coarsenings=coarsenings)
+    return cli._load_poset(args)
+
+
+def assert_same_poset(new: ContextPoset, ref: ContextPoset, note=""):
+    assert sorted(new.contexts) == sorted(ref.contexts), note
+    assert new.bottom_id == ref.bottom_id, note
+    assert new.leq == ref.leq, note
+    assert new.down == ref.down, note
+    assert list(new.restriction.items()) == list(ref.restriction.items()), note
+    assert poset_to_json_str(new) == poset_to_json_str(ref), note
+
+
+@pytest.mark.parametrize("name, pairs, coarsenings",
+                         list(product(FIXTURES, [False, True], [False, True])))
+def test_fixture_posets_match_reference(name, pairs, coarsenings):
+    new = load(name, pairs, coarsenings)
+    with reference_builder():
+        ref = load(name, pairs, coarsenings)
+    assert_same_poset(new, ref)
+
+
+@st.composite
+def integer_ray_files(draw):
+    dim = draw(st.integers(2, 3))
+    rays = draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim)
+                         .filter(any), min_size=1, max_size=9))
+    return {"dim": dim, "rays": rays}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_ray_files(), st.booleans(), st.booleans())
+def test_integer_ray_posets_match_reference(obj, pairs, coarsenings):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "rays.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        new = load(path, pairs, coarsenings)
+        with reference_builder():
+            ref = load(path, pairs, coarsenings)
+    assert_same_poset(new, ref)
+
+
+def float_poset_json(seed: int, workdir: str) -> dict:
+    """The poset file of the ``presheaf-float`` benchmark workload."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    bases, psi = workloads.float_inputs(seed)
+    workloads.float_operations(bases, psi, workdir)
+    with open(os.path.join(workdir, "float_poset.json")) as fh:
+        return json.load(fh)
+
+
+def closest_float_call(poset: ContextPoset) -> float:
+    """The least distance of any |tr(PQ) - target| from 10 eps over the
+    distinct atoms, for both predicates: how near a decision was to
+    flipping."""
+    atoms = list({a.canonical_key: a for v in poset.contexts.values() for a in v.atoms}.values())
+    best = float("inf")
+    for p in atoms:
+        for q in atoms:
+            t = _product_trace(p.matrix, q.matrix)
+            for target in (0, p.rank):
+                best = min(best, abs(abs(t - target) - 10 * get_eps()))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(501, 511))
+def test_float_benchmark_posets_match_reference(tmp_path, seed):
+    obj = float_poset_json(seed, str(tmp_path))
+    new = ContextPoset.from_json(obj)
+    ref = reference_build_poset([
+        Context([Projector.from_matrix(HermitianOperator.from_json(a)) for a in c["atoms"]])
+        for c in obj["contexts"]])
+    assert len(new) == 163 and len(new.leq) - len(new) == 1089
+    try:
+        assert_same_poset(new, ref)
+    except AssertionError as exc:
+        pytest.fail(f"seed {seed}: the builders disagree ({exc}); the closest predicate "
+                    f"call is {closest_float_call(ref):.3g} from 10 eps")
+
+
+def test_from_json_decides_each_atom_pair_once(tmp_path, monkeypatch):
+    obj = float_poset_json(501, str(tmp_path))
+    calls = []
+    leq = Projector.leq
+
+    def counting_leq(self, other):
+        calls.append(1)
+        return leq(self, other)
+
+    monkeypatch.setattr(Projector, "leq", counting_leq)
+    poset = ContextPoset.from_json(obj)
+    n = len({a.canonical_key for v in poset.contexts.values() for a in v.atoms})
+    assert n == 79
+    assert len(calls) <= n * n
+
+
+def test_all_coarsenings_is_bounded():
+    eye = [[int(i == j) for j in range(8)] for i in range(8)]
+    v = Context([Projector.from_ray(r, "float") for r in eye])
+    with pytest.raises(contexts.ValidationError, match="coarsenings"):
+        contexts.all_coarsenings(v)
+
+
+def test_coarsenings_above_the_bound_exit_2(tmp_path):
+    # Bell(9) = 21,147 coarsenings of the one basis: refused before any is built
+    f = tmp_path / "dim9.json"
+    f.write_text(json.dumps({"dim": 9, "rays": [[int(i == j) for j in range(9)]
+                                                for i in range(9)]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "qcontexts.cli", "build-poset", "--rays",
+                           str(f), "--coarsenings"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+    assert "coarsenings" in lines[0]
+
+
+def test_build_poset_keeps_generator_objects():
+    # a later generator with the same id replaces an earlier one, and the
+    # built trivial context replaces a generator equal to it
+    rs = ks.load_rayset("dim2_two_bases")
+    first = Context([rs.projectors[i] for i in rs.bases[0]])
+    again = Context([rs.projectors[i] for i in rs.bases[0]])
+    triv = Context.trivial(2, "exact")
+    poset = build_poset([first, triv, again])
+    assert poset.contexts[first.id] is again
+    assert poset.contexts[triv.id] is not triv and poset.bottom_id == triv.id

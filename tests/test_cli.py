@@ -255,3 +255,92 @@ def test_any_ray_file_gives_exit_0_1_or_2(obj, command):
         assert isinstance(error, dict) and list(error) == ["error"]
     else:
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("poset", [
+    [],
+    {"dim": 2, "contexts": 5},
+    {"dim": 2, "contexts": [{"atoms": 3}]},
+    {"dim": None, "contexts": []},
+    {"dim": 2, "contexts": [{"atoms": [{"dim": 2, "re": [[1, {}], [0, 1]],
+                                        "im": [[0, 0], [0, 0]]}]}]},
+], ids=["top-level-list", "contexts-number", "atoms-number", "null-dim", "object-entry"])
+def test_malformed_poset_exits_2_with_one_error(tmp_path, capsys, poset):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(poset))
+    code, out = run(capsys, "build-poset", "--poset", str(f))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+def test_malformed_state_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "state.json"
+    f.write_text("[]")
+    code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--state", str(f))
+    assert code == 2
+    assert out.count("\n") == 1 and "error" in json.loads(out)
+
+
+JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.just(2.0),
+                      st.sampled_from(["2", "x", ""]), st.just({}), st.just([]),
+                      st.lists(st.integers(0, 1), max_size=3))
+
+
+@st.composite
+def operator_json(draw, width):
+    """Mostly a diagonal 0/1 projector of the given width; sometimes junk."""
+    if not draw(st.integers(0, 7)):
+        return draw(JSON_JUNK)
+    diag = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+    obj = {"dim": width,
+           "re": [[diag[i] if i == j else 0 for j in range(width)] for i in range(width)],
+           "im": [[0] * width for _ in range(width)]}
+    if not draw(st.integers(0, 5)):
+        obj[draw(st.sampled_from(["dim", "re", "im"]))] = draw(st.one_of(
+            JSON_JUNK, st.just([[1, None], [0, 1]]), st.just([[1, [0]], [0, 1]])))
+    return obj
+
+
+@st.composite
+def poset_files(draw):
+    """Mostly well-shaped small poset files (partitions of the standard basis)
+    with some malformed parts."""
+    dim = draw(st.integers(1, 3)) if draw(st.integers(0, 9)) else draw(JSON_JUNK)
+    width = dim if isinstance(dim, int) and not isinstance(dim, bool) and 1 <= dim <= 3 else 2
+
+    @st.composite
+    def context(draw):
+        if not draw(st.integers(0, 9)):
+            return draw(st.one_of(JSON_JUNK, st.fixed_dictionaries({"atoms": JSON_JUNK})))
+        return {"atoms": draw(st.lists(operator_json(width), min_size=1, max_size=3))}
+
+    obj = {"dim": dim, "contexts": draw(st.lists(context(), max_size=4))}
+    top = draw(st.sampled_from(["object"] * 8 + ["list", "number"]))
+    return {"object": obj, "list": [obj], "number": 3}[top], draw(operator_json(width))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(poset_files(), st.sampled_from(["build-poset", "valuate", "valuate-state-file"]))
+def test_any_poset_file_gives_exit_0_1_or_2(files, command):
+    poset, state = files
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for name, obj in (("poset.json", poset), ("state.json", state)):
+            paths.append(os.path.join(d, name))
+            with open(paths[-1], "w") as fh:
+                json.dump(obj, fh)
+        argv = [command.split("-state")[0], "--poset", paths[0]]
+        if command == "valuate-state-file":
+            argv += ["--state", paths[1]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert isinstance(error, dict) and list(error) == ["error"]
+    else:
+        json.loads(out.getvalue())

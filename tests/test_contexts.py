@@ -17,6 +17,7 @@ from qcontexts.contexts import (
     Context,
     ContextPoset,
     SpectralFunctional,
+    StateOnContext,
     algebra_from_operators,
     algebra_from_projectors,
     all_coarsenings,
@@ -35,6 +36,7 @@ from qcontexts.linalg import (
     Projector,
     ValidationError,
 )
+from qcontexts.scalars import QSqrt2
 
 
 def diag_context(d: int, backend: str = "float") -> Context:
@@ -215,3 +217,19 @@ def test_exact_poset_from_integer_rays():
     poset = build_poset([v], close_under_meet=True)
     assert len(poset) == 2  # maximal + trivial
     assert poset.backend == "exact"
+
+
+@pytest.mark.parametrize("weights", [
+    (QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(1, 2) - Fraction(1, 10**9))),
+    (QSqrt2(Fraction(3, 2)), QSqrt2(Fraction(-1, 2))),
+    (1.5, -0.5),
+])
+def test_state_weights_are_checked(weights):
+    with pytest.raises(ValidationError):
+        StateOnContext("c", weights)
+
+
+def test_exact_state_weights_sum_exactly():
+    half = QSqrt2(Fraction(1, 2), Fraction(1, 4))
+    StateOnContext("c", (half, 1 - half))
+    StateOnContext("c", (0.5, 0.5 + 1e-9))

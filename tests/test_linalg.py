@@ -55,6 +55,27 @@ def test_from_span_matches_sum_of_rays():
     assert complement == Projector.from_ray([0, 0, 1], "exact")
 
 
+def test_float_from_span_keeps_the_span_of_dependent_vectors():
+    assert Projector.from_span([[1, 0, 0], [2, 0, 0], [0, 1, 0]], "float").rank == 2
+    assert Projector.from_span([[0, 0], [1, 0]], "float").rank == 1
+
+
+def test_float_from_span_matches_exact_on_dependent_spans():
+    rng = make_rng(8)
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(1, d + 1))
+        base = rng.integers(-2, 3, size=(k, d))
+        mix = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), k))
+        vecs = [[int(x) for x in v] for v in np.vstack([base, mix @ base])[rng.permutation(k + len(mix))]]
+        if not any(any(v) for v in vecs):
+            continue
+        exact = Projector.from_span(vecs, "exact")
+        flt = Projector.from_span(vecs, "float")
+        assert flt.rank == exact.rank
+        assert np.allclose(flt.matrix.data, exact.matrix.to_complex_array(), atol=1e-9)
+
+
 def test_projector_order_and_orthogonality():
     p0 = Projector.from_ray([1, 0, 0], "exact")
     p01 = Projector.from_span([[1, 0, 0], [0, 1, 0]], "exact")
