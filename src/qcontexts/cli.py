@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import coarse, contexts, intervals, ks, valuations
 from .linalg import DensityMatrix, ValidationError
-from .scalars import QSqrt2, set_eps
+from .scalars import QSqrt2, get_eps, set_eps
 
 
 def _load_poset(args) -> contexts.ContextPoset:
@@ -48,14 +48,14 @@ def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
     vec = _state_vector(spec, dim)
     if vec is not None:
         if backend == "float":
-            vec = [float(x) for x in vec]
+            vec = _floats(vec)
         return DensityMatrix.pure(vec, backend)
     if spec.startswith("diag:"):
-        parts = [Fraction(x) for x in spec[len("diag:"):].split(",")]
+        parts = _numbers(spec[len("diag:"):])
         if len(parts) != dim:
             raise ValidationError(f"diag state has {len(parts)} weights, dim is {dim}")
         if backend == "float":
-            return DensityMatrix.from_diag([float(x) for x in parts], backend)
+            return DensityMatrix.from_diag(_floats(parts), backend)
         return DensityMatrix.from_diag(parts, backend)
     with open(spec) as fh:
         return DensityMatrix.from_json(json.load(fh))
@@ -72,12 +72,31 @@ def _state_vector(spec: str, dim: int):
         vec[k] = 1
         return vec
     if spec.startswith("vec:"):
-        return [Fraction(x) for x in spec[len("vec:"):].split(",")]
+        return _numbers(spec[len("vec:"):])
     return None
 
 
+def _number(text: str) -> Fraction:
+    """An int, 'p/q' fraction or decimal, exactly."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"zero denominator in {text!r}") from None
+
+
+def _numbers(text: str) -> list:
+    return [_number(x) for x in text.split(",")]
+
+
+def _floats(numbers) -> list:
+    try:
+        return [float(x) for x in numbers]
+    except OverflowError:
+        raise ValidationError("a state entry is too large for the float backend") from None
+
+
 def _parse_r(args):
-    r = Fraction(args.r)
+    r = _number(args.r)
     if not 0 < r <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
     return r
@@ -289,14 +308,17 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "eps", None):
-        set_eps(args.eps)
+    previous_eps = get_eps()
     try:
+        if getattr(args, "eps", None) is not None:
+            set_eps(args.eps)
         return args.func(args)
     except (ValidationError, OSError, ValueError, KeyError) as exc:
         sys.stdout.write(json.dumps(
             {"error": f"{type(exc).__name__}: {exc}"}, sort_keys=True) + "\n")
         return 2
+    finally:
+        set_eps(previous_eps)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ from .linalg import (
     HermitianOperator,
     Projector,
     ValidationError,
+    _pair_trace,
     _product_trace,
+    _trace_is,
     born_probability,
     get_eps,
     spectral_decompose,
@@ -426,11 +428,12 @@ class _AtomTable:
     """The distinct atoms of one poset build and their pairwise relations.
 
     Atoms are interned by canonical key. A new atom's relations to every
-    atom seen so far are decided once, by ``Projector.leq`` and
-    ``Projector.orthogonal_to``, and kept as int bitmasks over atom indices:
-    ``above[i]`` holds the atoms >= atom i, ``overlap[i]`` the atoms not
-    orthogonal to atom i. A context is then the tuple of its atoms'
-    indices, in its own atom order (its "row").
+    atom seen so far are decided once, from one trace tr(PQ) per pair by
+    the rules of ``Projector.leq`` and ``Projector.orthogonal_to``, and
+    kept as int bitmasks over atom indices: ``above[i]`` holds the atoms
+    >= atom i, ``overlap[i]`` the atoms not orthogonal to atom i. A
+    context is then the tuple of its atoms' indices, in its own atom order
+    (its "row").
     """
 
     __slots__ = ("index", "atoms", "above", "overlap")
@@ -452,11 +455,12 @@ class _AtomTable:
         self.overlap.append(0)
         bit = 1 << i
         for j, q in enumerate(self.atoms):
-            if p.leq(q):
+            t = _pair_trace(p, q)
+            if _trace_is(t, p.rank):
                 self.above[i] |= 1 << j
-            if j != i and q.leq(p):
+            if j != i and _trace_is(t, q.rank):
                 self.above[j] |= bit
-            if not p.orthogonal_to(q):
+            if not _trace_is(t, 0):
                 self.overlap[i] |= 1 << j
                 self.overlap[j] |= bit
         return i

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .coarse import LatticeElement, coarse_grain, lattice, lattice_covers
+from .coarse import (LatticeElement, coarse_grain, lattice, lattice_covers,
+                     projector_restrictions)
 from .contexts import Context, ContextPoset
-from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
+from .linalg import DensityMatrix, ValidationError, _LazyNumpy, born_probability, get_eps
 from .valuations import (ValuationTable, _at_least, _first_disjoint_pair, _mask_weight,
                          principal_sieve, stage_weights)
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,13 @@ def _true_set_infimum(table: ValuationTable, cid: str) -> int:
 def check_spectral_subobject(assignment: IntervalAssignment, poset: ContextPoset) -> dict:
     """Per morphism, whether the restricted stage-set lands inside (weak) or
     exactly onto (strong) the lower stage-set. The overall subobject verdict
-    is the weak condition everywhere."""
+    is the weak condition everywhere. The restriction maps come from the
+    projector order, not from the poset's tables."""
+    maps = projector_restrictions(poset)
     morphisms = []
     weak_ok = True
     for sub, sup in poset.proper_pairs():
-        rmap = poset.restriction[(sub, sup)]
+        rmap = maps[(sub, sup)]
         image = frozenset(rmap[i] for i in assignment.sets[sup])
         target = assignment.sets[sub]
         weak = image <= target

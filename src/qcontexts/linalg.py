@@ -3,7 +3,8 @@
 Hermitian operators, canonical projectors, density matrices, spectral
 decomposition, functional calculus and Born probabilities. The float backend
 delegates eigenproblems to numpy; the exact backend works over Q(sqrt(2))
-and verifies every decomposition by exact reconstruction.
+and verifies every decomposition by exact reconstruction. numpy is imported
+on first float use, so exact work never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .scalars import (
     EC_ONE,
@@ -32,6 +31,26 @@ class BackendError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural precondition."""
+
+
+class _LazyNumpy:
+    """Stands in for ``np`` in a module's globals until the first attribute
+    is read. Then it imports numpy and puts the module in its own place, so
+    that later float calls look ``np`` up directly."""
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, attr):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, attr)
+
+
+np = _LazyNumpy(globals())
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +246,13 @@ class HermitianOperator:
     # -- serialization (row-major complex arrays) ---------------------------
 
     def to_json(self) -> dict:
-        arr = self.to_complex_array()
-        return {
-            "dim": self.dim,
-            "re": [[float(x) for x in row] for row in arr.real],
-            "im": [[float(x) for x in row] for row in arr.imag],
-        }
+        if self.backend == "float":
+            re = [[float(x) for x in row] for row in self.data.real]
+            im = [[float(x) for x in row] for row in self.data.imag]
+        else:
+            re = [[float(x.re) for x in row] for row in self.data]
+            im = [[float(x.im) for x in row] for row in self.data]
+        return {"dim": self.dim, "re": re, "im": im}
 
     @classmethod
     def from_json(cls, obj: dict, backend: str = "float"):
@@ -329,13 +349,14 @@ class Projector:
             if n <= get_eps():
                 raise ValidationError("zero ray")
             return cls(HermitianOperator(len(v), np.outer(v, v.conj()) / n, "float", validate=False))
-        v = [exact_entry(x) for x in vec]
-        n = sum((x.conj() * x for x in v), EC_ZERO)
-        if n.is_zero():
-            raise ValidationError("zero ray")
-        dim = len(v)
-        data = tuple(tuple(v[i] * v[j].conj() / n for j in range(dim)) for i in range(dim))
-        return cls(HermitianOperator(dim, data, "exact", validate=False))
+        m, n = _ray_ints(vec)
+        _check_idempotent_ints(m, n)
+        data = tuple(
+            tuple(ExactComplex(QSqrt2(Fraction(a, n), Fraction(b, n)),
+                               QSqrt2(Fraction(c, n), Fraction(e, n))) for a, b, c, e in row)
+            for row in m
+        )
+        return cls(HermitianOperator(len(m), data, "exact", validate=False), validate=False)
 
     @classmethod
     def from_span(cls, vecs, backend: str = "float"):
@@ -375,17 +396,11 @@ class Projector:
 
     def orthogonal_to(self, other: "Projector") -> bool:
         """PQ = 0, decided via tr(PQ) = 0 (equivalent for projectors)."""
-        if self.matrix.backend == "exact":
-            r, s, _ = _exact_trace_parts(self.matrix, other.matrix)
-            return r == 0 and s == 0
-        return abs(_product_trace(self.matrix, other.matrix)) <= 10 * get_eps()
+        return _trace_is(_pair_trace(self, other), 0)
 
     def leq(self, other: "Projector") -> bool:
         """Subspace order: P <= Q, decided via tr(PQ) = tr(P)."""
-        if self.matrix.backend == "exact":
-            r, s, d = _exact_trace_parts(self.matrix, other.matrix)
-            return r == self.rank * d and s == 0
-        return abs(_product_trace(self.matrix, other.matrix) - self.rank) <= 10 * get_eps()
+        return _trace_is(_pair_trace(self, other), self.rank)
 
     def is_zero(self) -> bool:
         return self.rank == 0
@@ -407,6 +422,24 @@ class Projector:
         return self.matrix.to_json()
 
 
+def _pair_trace(p: Projector, q: Projector):
+    """tr(PQ) as `_trace_is` reads it: the integers ``(r, s, D)`` of
+    `_exact_trace_parts` on the exact backend, a complex on the float one."""
+    if p.matrix.backend == "exact":
+        return _exact_trace_parts(p.matrix, q.matrix)
+    return _product_trace(p.matrix, q.matrix)
+
+
+def _trace_is(t, k: int) -> bool:
+    """Whether the `_pair_trace` value t equals the integer k: exactly, or
+    within ``10 * eps`` on the float backend. With k = 0 it decides
+    orthogonality, with k = rank(P) the order P <= Q."""
+    if isinstance(t, tuple):
+        r, s, d = t
+        return r == k * d and s == 0
+    return abs(t - k) <= 10 * get_eps()
+
+
 def _exact_integer_form(data):
     entries = [x for row in data for x in row]
     rat = [x.re.a for x in entries] + [x.im.a for x in entries]
@@ -420,6 +453,50 @@ def _scaled_ints(fracs, d):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+# Exact ray projectors are built over Z[sqrt(2)][i]: an element
+# (a + b sqrt(2)) + i (c + e sqrt(2)) is the int 4-tuple (a, b, c, e).
+
+
+def _zi_mul(x, y):
+    a, b, c, e = x
+    f, g, h, k = y
+    return (a * f + 2 * b * g - c * h - 2 * e * k,
+            a * g + b * f - c * k - e * h,
+            a * h + 2 * b * k + c * f + 2 * e * g,
+            a * k + b * h + c * g + e * f)
+
+
+def _ray_ints(vec):
+    """``(M, N)`` with v v* / <v, v> = M / N for a nonzero exact ray v.
+
+    The ray is scaled to w over Z[sqrt(2)][i], so <w, w> = A + B sqrt(2)
+    with integers A, B. Its inverse is (A - B sqrt(2)) / N with
+    N = A^2 - 2 B^2, which is positive: it is <w', w'> for the Galois
+    conjugate w' of w, and w' != 0. So M = w w* (A - B sqrt(2)), a matrix
+    of 4-tuples.
+    """
+    parts = [(x.re.a, x.re.b, x.im.a, x.im.b) for x in map(exact_entry, vec)]
+    den = lcm(*(f.denominator for part in parts for f in part))
+    w = [tuple(f.numerator * (den // f.denominator) for f in part) for part in parts]
+    big_a = sum(a * a + 2 * b * b + c * c + 2 * e * e for a, b, c, e in w)
+    if big_a == 0:
+        raise ValidationError("zero ray")
+    big_b = 2 * sum(a * b + c * e for a, b, c, e in w)
+    scaled = [_zi_mul(x, (big_a, -big_b, 0, 0)) for x in w]
+    m = [[_zi_mul(u, (a, b, -c, -e)) for a, b, c, e in w] for u in scaled]
+    return m, big_a * big_a - 2 * big_b * big_b
+
+
+def _check_idempotent_ints(m, n: int) -> None:
+    """Raise unless (M / n)^2 = M / n, decided as M M == n M in integers."""
+    dim = len(m)
+    for row in m:
+        for j in range(dim):
+            square = [sum(c) for c in zip(*(_zi_mul(row[k], m[k][j]) for k in range(dim)))]
+            if square != [n * x for x in row[j]]:
+                raise ValidationError("matrix is not idempotent")
 
 
 def _exact_trace_parts(a: HermitianOperator, b: HermitianOperator):

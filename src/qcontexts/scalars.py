@@ -27,8 +27,8 @@ def get_eps() -> float:
 
 def set_eps(eps: float) -> None:
     global _EPS
-    if not eps > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {eps!r}")
     _EPS = float(eps)
 
 

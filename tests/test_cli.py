@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qcontexts.cli import main
+from qcontexts.scalars import get_eps
 
 
 def run(capsys, *argv):
@@ -117,12 +118,45 @@ def test_intervals_maximally_mixed_full_spectrum(tmp_path, capsys):
 @pytest.mark.parametrize("command, state, reason", [
     ("valuate", "diag:100000001/100000000,-1/100000000", "positive semidefinite"),
     ("verify-axioms", "diag:1/2,50000001/100000000", "trace is not 1"),
+    ("valuate", "vec:1/0,1,0,0", "zero denominator"),
+    ("intervals", "diag:1/0,0,0,0", "zero denominator"),
 ])
 def test_invalid_exact_state_exits_2(capsys, command, state, reason):
     # off by 1e-8: inside a float tolerance, but not a density matrix
     code, out = run(capsys, command, "--rays", "dim2_two_bases", "--state", state)
     assert code == 2
     assert out.count("\n") == 1 and reason in json.loads(out)["error"]
+
+
+def test_zero_denominator_threshold_exits_2(capsys):
+    code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--r", "1/0")
+    assert code == 2
+    assert out.count("\n") == 1 and "zero denominator" in json.loads(out)["error"]
+
+
+def test_state_too_large_for_floats_exits_2(tmp_path, capsys):
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(json.loads(out)["poset"]))
+    code, out = run(capsys, "valuate", "--poset", str(poset), "--state", "vec:1e400,1")
+    assert code == 2
+    assert out.count("\n") == 1 and "too large" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "0", "inf"])
+def test_invalid_eps_exits_2(capsys, eps):
+    before = get_eps()
+    code, out = run(capsys, "ks-check", "--rays", "dim2_two_bases", "--eps", eps)
+    assert code == 2
+    assert out.count("\n") == 1 and "tolerance" in json.loads(out)["error"]
+    assert get_eps() == before
+
+
+def test_eps_is_restored_when_main_returns(capsys):
+    before = get_eps()
+    code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--eps", "1e-3")
+    assert code == 0 and json.loads(out)["config"]["eps"] == 1e-3
+    assert get_eps() == before
 
 
 def test_ks_check_fixtures(capsys):
