@@ -20,9 +20,7 @@ from .linalg import (
     HermitianOperator,
     Projector,
     ValidationError,
-    _pair_trace,
     _product_trace,
-    _trace_is,
     born_probability,
     get_eps,
     spectral_decompose,
@@ -428,12 +426,11 @@ class _AtomTable:
     """The distinct atoms of one poset build and their pairwise relations.
 
     Atoms are interned by canonical key. A new atom's relations to every
-    atom seen so far are decided once, from one trace tr(PQ) per pair by
-    the rules of ``Projector.leq`` and ``Projector.orthogonal_to``, and
-    kept as int bitmasks over atom indices: ``above[i]`` holds the atoms
-    >= atom i, ``overlap[i]`` the atoms not orthogonal to atom i. A
-    context is then the tuple of its atoms' indices, in its own atom order
-    (its "row").
+    atom seen so far are decided once per pair, with ``Projector.orthogonal_to``
+    and at most one ``Projector.leq``, and kept as int bitmasks over atom
+    indices: ``above[i]`` holds the atoms >= atom i, ``overlap[i]`` the
+    atoms not orthogonal to atom i. A context is then the tuple of its
+    atoms' indices, in its own atom order (its "row").
     """
 
     __slots__ = ("index", "atoms", "above", "overlap")
@@ -453,16 +450,18 @@ class _AtomTable:
         self.atoms.append(p)
         self.above.append(0)
         self.overlap.append(0)
-        bit = 1 << i
         for j, q in enumerate(self.atoms):
-            t = _pair_trace(p, q)
-            if _trace_is(t, p.rank):
-                self.above[i] |= 1 << j
-            if j != i and _trace_is(t, q.rank):
-                self.above[j] |= bit
-            if not _trace_is(t, 0):
-                self.overlap[i] |= 1 << j
-                self.overlap[j] |= bit
+            if p.orthogonal_to(q):
+                continue
+            self.overlap[i] |= 1 << j
+            self.overlap[j] |= 1 << i
+            # P <= Q needs rank P <= rank Q, and at equal ranks P <= Q iff
+            # Q <= P (both read tr(PQ) = rank): one order test decides both
+            lo, hi = (i, j) if p.rank <= q.rank else (j, i)
+            if self.atoms[lo].leq(self.atoms[hi]):
+                self.above[lo] |= 1 << hi
+                if p.rank == q.rank:
+                    self.above[hi] |= 1 << lo
         return i
 
     def row(self, v: Context) -> tuple:

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coarse import (LatticeElement, coarse_grain, lattice, lattice_covers,
-                     projector_restrictions)
+from .coarse import LatticeElement, coarse_grain, lattice, lattice_covers
 from .contexts import Context, ContextPoset
-from .linalg import DensityMatrix, ValidationError, _LazyNumpy, born_probability, get_eps
+from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .valuations import (ValuationTable, _at_least, _first_disjoint_pair, _mask_weight,
                          principal_sieve, stage_weights)
-
-np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,11 @@ def _true_set_infimum(table: ValuationTable, cid: str) -> int:
 def check_spectral_subobject(assignment: IntervalAssignment, poset: ContextPoset) -> dict:
     """Per morphism, whether the restricted stage-set lands inside (weak) or
     exactly onto (strong) the lower stage-set. The overall subobject verdict
-    is the weak condition everywhere. The restriction maps come from the
-    projector order, not from the poset's tables."""
-    maps = projector_restrictions(poset)
+    is the weak condition everywhere."""
     morphisms = []
     weak_ok = True
     for sub, sup in poset.proper_pairs():
-        rmap = maps[(sub, sup)]
+        rmap = poset.restriction[(sub, sup)]
         image = frozenset(rmap[i] for i in assignment.sets[sup])
         target = assignment.sets[sub]
         weak = image <= target
@@ -298,6 +293,8 @@ def largest_annihilating_mask(psi, v: Context) -> int:
     """Bitmask of atoms annihilating the nonzero vector (the ideal's top
     projector). Float vectors are normalized before the ``sqrt(eps)`` test."""
     if v.backend == "float":
+        import numpy as np
+
         vec = np.array(psi, dtype=complex)
         n = float(np.vdot(vec, vec).real)
         if n <= get_eps():

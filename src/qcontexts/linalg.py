@@ -396,11 +396,11 @@ class Projector:
 
     def orthogonal_to(self, other: "Projector") -> bool:
         """PQ = 0, decided via tr(PQ) = 0 (equivalent for projectors)."""
-        return _trace_is(_pair_trace(self, other), 0)
+        return _trace_is(self, other, 0)
 
     def leq(self, other: "Projector") -> bool:
         """Subspace order: P <= Q, decided via tr(PQ) = tr(P)."""
-        return _trace_is(_pair_trace(self, other), self.rank)
+        return _trace_is(self, other, self.rank)
 
     def is_zero(self) -> bool:
         return self.rank == 0
@@ -422,22 +422,14 @@ class Projector:
         return self.matrix.to_json()
 
 
-def _pair_trace(p: Projector, q: Projector):
-    """tr(PQ) as `_trace_is` reads it: the integers ``(r, s, D)`` of
-    `_exact_trace_parts` on the exact backend, a complex on the float one."""
-    if p.matrix.backend == "exact":
-        return _exact_trace_parts(p.matrix, q.matrix)
-    return _product_trace(p.matrix, q.matrix)
-
-
-def _trace_is(t, k: int) -> bool:
-    """Whether the `_pair_trace` value t equals the integer k: exactly, or
-    within ``10 * eps`` on the float backend. With k = 0 it decides
+def _trace_is(p: Projector, q: Projector, k: int) -> bool:
+    """Whether tr(PQ) equals the integer k: exactly on the exact backend,
+    within ``10 * eps`` on the float one. With k = 0 it decides
     orthogonality, with k = rank(P) the order P <= Q."""
-    if isinstance(t, tuple):
-        r, s, d = t
+    if p.matrix.backend == "exact":
+        r, s, d = _exact_trace_parts(p.matrix, q.matrix)
         return r == k * d and s == 0
-    return abs(t - k) <= 10 * get_eps()
+    return abs(_product_trace(p.matrix, q.matrix) - k) <= 10 * get_eps()
 
 
 def _exact_integer_form(data):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcontexts import linalg
 from qcontexts.linalg import (
     HermitianOperator,
     Projector,
@@ -108,6 +109,14 @@ def test_integer_idempotency_check_rejects_a_tampered_matrix():
     tampered[1][0] = (a + 1, b, -c, -e)
     with pytest.raises(ValidationError, match="not idempotent"):
         _check_idempotent_ints(tampered, n)
+
+
+def test_from_ray_checks_idempotency(monkeypatch):
+    # an (M, N) from `_ray_ints` always passes, so hand from_ray a bad one
+    m, n = _ray_ints([1, [0, 1], "1/2"])
+    monkeypatch.setattr(linalg, "_ray_ints", lambda vec: (m, n + 1))
+    with pytest.raises(ValidationError, match="matrix is not idempotent"):
+        Projector.from_ray([1, [0, 1], "1/2"], "exact")
 
 
 def _python(code: str, cwd) -> dict:
