@@ -48,14 +48,20 @@ def element_projector(elem: LatticeElement, v: Context) -> Projector:
     return Projector(m, validate=False)
 
 
-def lattice(v: Context):
-    """All 2^k lattice elements of a context, bottom first, top last."""
+def lattice_size(v: Context) -> int:
+    """The number 2^k of lattice elements of a context of k atoms; raises
+    above the materialization bound."""
     if v.n_atoms > LATTICE_ATOM_BOUND:
         raise ValidationError(
             f"context has {v.n_atoms} atoms; lattice materialization is capped at "
             f"{LATTICE_ATOM_BOUND}"
         )
-    return [LatticeElement(v.id, m) for m in range(1 << v.n_atoms)]
+    return 1 << v.n_atoms
+
+
+def lattice(v: Context):
+    """All 2^k lattice elements of a context, bottom first, top last."""
+    return [LatticeElement(v.id, m) for m in range(lattice_size(v))]
 
 
 def lattice_covers(n_atoms: int):
@@ -98,6 +104,17 @@ def image_mask(rmap, mask: int) -> int:
         mask >>= 1
         i += 1
     return out
+
+
+def image_masks(rmap, size: int) -> list:
+    """``image_mask(rmap, m)`` for every mask m of ``size`` atoms, indexed by
+    m. Coarse-graining preserves joins, so a mask's image is the image of
+    the mask without its lowest atom, joined with that atom's image."""
+    img = [0] * (1 << size)
+    for m in range(1, 1 << size):
+        low = m & -m
+        img[m] = img[m ^ low] | 1 << rmap[low.bit_length() - 1]
+    return img
 
 
 def projector_restrictions(poset: ContextPoset) -> dict:
@@ -195,12 +212,17 @@ def augment(elem: LatticeElement, v: Context, probe_ops=()) -> AugmentedProposit
         if not v.contains_operator(a):
             raise ValidationError("probe operator is not in the context's algebra")
         values = v.atom_coefficients(a)
-        distinct = sorted(set(float(x) for x in values))
+        # exact eigenvalues are equal or not; float ones within 1e-9 are one
+        if v.backend == "exact":
+            groups = {lam: [i for i, x in enumerate(values) if x == lam]
+                      for lam in sorted(set(values))}
+        else:
+            groups = {lam: [i for i, x in enumerate(values) if abs(float(x) - lam) <= 1e-9]
+                      for lam in sorted(set(float(x) for x in values))}
         # an eigenvalue may enter Delta only if all of its atoms are in the mask
         delta = []
         covered = 0
-        for lam in distinct:
-            idxs = [i for i, x in enumerate(values) if abs(float(x) - lam) <= 1e-9]
+        for lam, idxs in groups.items():
             if all(elem.mask >> i & 1 for i in idxs):
                 delta.append(lam)
                 for i in idxs:
@@ -227,16 +249,10 @@ def clopen_iso_check(poset: ContextPoset, action=None) -> dict:
     sets, and that the clopen-set morphism action commutes with
     coarse-graining. The default action sends each functional to the atom
     above its own in the projector order, so it tests the poset's
-    restriction tables against the matrices. A different ``action`` may be
-    injected to demonstrate failure detection."""
-    if action is None:
-        maps = projector_restrictions(poset)
-
-        def action(p, elem, target_id):
-            rmap = maps[(target_id, elem.context_id)]
-            return clopen_of(LatticeElement(target_id, image_mask(rmap, elem.mask)),
-                             p.contexts[target_id])
-
+    restriction tables against the matrices; both routes are then compared
+    as image arrays, mask by mask. A different ``action`` may be injected
+    to demonstrate failure detection; it is compared element by element."""
+    maps = projector_restrictions(poset) if action is None else None
     stages = 0
     morphisms = 0
     for cid in poset.ids():
@@ -251,18 +267,34 @@ def clopen_iso_check(poset: ContextPoset, action=None) -> dict:
             seen.add(s)
     for sub, sup in poset.proper_pairs():
         morphisms += 1
-        for elem in lattice(poset.contexts[sup]):
-            via_coarse = clopen_of(coarse_grain(poset, elem, sub), poset.contexts[sub])
-            via_action = action(poset, elem, sub)
+        target = poset.contexts[sub]
+        if maps is not None:
+            n = poset.contexts[sup].n_atoms
+            via_coarse = image_masks(poset.restriction[(sub, sup)], n)
+            via_action = image_masks(maps[(sub, sup)], n)
+            failure = None
             if via_coarse != via_action:
-                return {
-                    "ok": False,
-                    "counterexample": {
-                        "morphism": [sub, sup],
-                        "mask": elem.mask,
-                        "coarse_route": sorted(f.index for f in via_coarse),
-                        "action_route": sorted(f.index for f in via_action),
-                    },
-                }
+                m = next(m for m, (c, a) in enumerate(zip(via_coarse, via_action)) if c != a)
+                failure = (m, clopen_of(LatticeElement(sub, via_coarse[m]), target),
+                           clopen_of(LatticeElement(sub, via_action[m]), target))
+        else:
+            failure = None
+            for elem in lattice(poset.contexts[sup]):
+                via_coarse = clopen_of(coarse_grain(poset, elem, sub), target)
+                via_action = action(poset, elem, sub)
+                if via_coarse != via_action:
+                    failure = elem.mask, via_coarse, via_action
+                    break
+        if failure is not None:
+            mask, via_coarse, via_action = failure
+            return {
+                "ok": False,
+                "counterexample": {
+                    "morphism": [sub, sup],
+                    "mask": mask,
+                    "coarse_route": sorted(f.index for f in via_coarse),
+                    "action_route": sorted(f.index for f in via_action),
+                },
+            }
     return {"ok": True, "stages_checked": stages, "morphisms_checked": morphisms,
             "counterexample": None}

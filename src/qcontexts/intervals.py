@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coarse import LatticeElement, coarse_grain, lattice, lattice_covers
+from .coarse import LatticeElement, image_mask, image_masks, lattice, lattice_covers
 from .contexts import Context, ContextPoset
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
-from .valuations import (ValuationTable, _at_least, _first_disjoint_pair, _mask_weight,
-                         principal_sieve, stage_weights)
+from .valuations import (ValuationTable, _first_disjoint_pair, _truth_tables, principal_sieve,
+                         stage_weights)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def global_element_from_valuation(table: ValuationTable, poset: ContextPoset):
     """
     choices = {cid: _true_set_infimum(table, cid) for cid in poset.ids()}
     for sub, sup in poset.proper_pairs():
-        expected = coarse_grain(poset, LatticeElement(sup, choices[sup]), sub).mask
+        expected = image_mask(poset.restriction[(sub, sup)], choices[sup])
         if choices[sub] != expected:
             return None, {
                 "ok": False,
@@ -184,17 +184,9 @@ def probability_family(rho: DensityMatrix, r, poset: ContextPoset) -> ProjectorF
     """
     if not 0 < float(r) <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
-    weights = stage_weights(rho, poset)
-    masks = {}
-    for cid in poset.ids():
-        v = poset.contexts[cid]
-        w = weights[cid]
-        keep = set()
-        for mask in range(1 << v.n_atoms):
-            if _at_least(_mask_weight(w, mask), r, poset.backend):
-                keep.add(mask)
-        masks[cid] = frozenset(keep)
-    return ProjectorFamily(masks)
+    truth = _truth_tables(stage_weights(rho, poset), r, poset.backend)
+    return ProjectorFamily({cid: frozenset(q for q, ok in enumerate(truth[cid]) if ok)
+                            for cid in poset.ids()})
 
 
 def check_coarse_subobject(family: ProjectorFamily, poset: ContextPoset) -> dict:
@@ -214,9 +206,8 @@ def check_coarse_subobject(family: ProjectorFamily, poset: ContextPoset) -> dict
     containment_ok = True
     equality_ok = True
     for sub, sup in poset.proper_pairs():
-        image = frozenset(
-            coarse_grain(poset, LatticeElement(sup, m), sub).mask for m in family.masks[sup]
-        )
+        img = image_masks(poset.restriction[(sub, sup)], poset.contexts[sup].n_atoms)
+        image = frozenset(img[m] for m in family.masks[sup])
         target = family.masks[sub]
         containment = image <= target
         equality = image == target

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarse import (LatticeElement, coarse_grain, image_mask, lattice, lattice_covers,
+from .coarse import (LatticeElement, image_masks, lattice_covers, lattice_size,
                      projector_restrictions, top)
 from .contexts import ContextPoset
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
@@ -95,6 +95,25 @@ def _at_least(value, r, backend: str) -> bool:
     return float(value) >= float(r) - get_eps()
 
 
+def _truth_tables(weights: dict, r, backend: str) -> dict:
+    """Per stage, whether each mask carries Born weight at least r, as a
+    list indexed by mask. Whether a coarse-grained element is in a sieve
+    depends only on the lower stage and the image mask, so each (stage,
+    mask) pair is decided once."""
+    return {cid: [_at_least(_mask_weight(w, q), r, backend) for q in range(1 << len(w))]
+            for cid, w in weights.items()}
+
+
+def _stage_sieves(poset: ContextPoset, truth: dict, cid: str, masks) -> dict:
+    """The sieve of each given mask of stage cid: the contexts below cid
+    whose truth table holds at the mask's image there."""
+    n = poset.contexts[cid].n_atoms
+    images = [(sub, truth[sub], image_masks(poset.restriction[(sub, cid)], n))
+              for sub in poset.below(cid)]
+    return {m: Sieve.build(cid, {sub for sub, t, img in images if t[img[m]]}, poset)
+            for m in masks}
+
+
 def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPoset,
                     r=1) -> Sieve:
     """Sieve of contexts where the coarse-grained element has weight >= r.
@@ -104,17 +123,8 @@ def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPose
     """
     if not 0 < float(r) <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
-    weights = stage_weights(rho, poset)
-    return _valuation_sieve(weights, elem, poset, r)
-
-
-def _valuation_sieve(weights, elem: LatticeElement, poset: ContextPoset, r) -> Sieve:
-    members = set()
-    for cid in poset.below(elem.context_id):
-        coarse = coarse_grain(poset, elem, cid)
-        if _at_least(_mask_weight(weights[cid], coarse.mask), r, poset.backend):
-            members.add(cid)
-    return Sieve.build(elem.context_id, members, poset)
+    truth = _truth_tables(stage_weights(rho, poset), r, poset.backend)
+    return _stage_sieves(poset, truth, elem.context_id, [elem.mask])[elem.mask]
 
 
 class ValuationTable:
@@ -153,13 +163,10 @@ def valuation_table(rho: DensityMatrix, poset: ContextPoset, r=1) -> ValuationTa
     if not 0 < float(r) <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
     weights = stage_weights(rho, poset)
-    maps = {}
-    for cid in poset.ids():
-        v = poset.contexts[cid]
-        stage_map = {}
-        for elem in lattice(v):
-            stage_map[elem.mask] = _valuation_sieve(weights, elem, poset, r)
-        maps[cid] = stage_map
+    # the lattice bound applies before any 2^k truth table is built
+    sizes = {cid: lattice_size(poset.contexts[cid]) for cid in poset.ids()}
+    truth = _truth_tables(weights, r, poset.backend)
+    maps = {cid: _stage_sieves(poset, truth, cid, range(size)) for cid, size in sizes.items()}
     return ValuationTable(poset, maps, r=r)
 
 
@@ -195,21 +202,23 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
         }
 
     for cid in poset.ids():
-        v = poset.contexts[cid]
         if table.sieve(LatticeElement(cid, 0)).members:
             report["null_proposition"] = {
                 "ok": False,
                 "counterexample": {"stage": cid},
             }
             break
-        if require_unit:
-            t = table.sieve(top(v))
+
+    if require_unit:
+        for cid in poset.ids():
+            t = table.sieve(top(poset.contexts[cid]))
             if t != principal_sieve(poset, cid):
                 report["unit_proposition"] = {
                     "ok": False,
                     "counterexample": {"stage": cid, "sieve": sorted(t.members)},
                     "checked": True,
                 }
+                break
 
     for cid in poset.ids():
         stage = table.maps[cid]
@@ -268,13 +277,14 @@ def _first_failing_square(table: ValuationTable, restriction):
     poset = table.poset
     squares = 0
     for sub, sup in poset.proper_pairs():
-        rmap = restriction[(sub, sup)]
+        n = poset.contexts[sup].n_atoms
+        img = image_masks(restriction[(sub, sup)], n)
         below_sub = set(poset.below(sub))
         lower, upper = table.maps[sub], table.maps[sup]
-        for mask in range(1 << poset.contexts[sup].n_atoms):
+        for mask in range(1 << n):
             squares += 1
             pulled = upper[mask].members & below_sub
-            assigned = lower[image_mask(rmap, mask)].members
+            assigned = lower[img[mask]].members
             if pulled != assigned:
                 return squares, (sub, sup, mask, pulled, assigned)
     return squares, None

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qcontexts.coarse import (
     top,
 )
 from qcontexts.contexts import Context, ContextPoset, all_coarsenings, build_poset
-from qcontexts.linalg import Projector, ValidationError
+from qcontexts.linalg import HermitianOperator, Projector, ValidationError
 
 
 def diag_context(d):
@@ -168,3 +170,23 @@ def test_clopen_iso_detects_broken_action():
     report = clopen_iso_check(poset, action=universal_action)
     assert not report["ok"]
     assert report["counterexample"]["morphism"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_augment_groups_eigenvalues_by_backend(backend):
+    """Exact eigenvalues are grouped by equality, float ones within 1e-9: a
+    probe whose eigenvalues differ by 1e-10 separates the atoms only on the
+    exact backend."""
+    e0, e1 = Projector.from_ray([1, 0], backend), Projector.from_ray([0, 1], backend)
+    v = Context([e0, e1])
+    near = Fraction(1) + Fraction(1, 10**10)
+    probe = HermitianOperator.diag([near if backend == "exact" else float(near), 1], backend)
+    first = next(i for i, atom in enumerate(v.atoms) if atom.leq(e0))  # the atom of e0
+    witnesses = augment(LatticeElement(v.id, 1 << first), v, [probe]).witnesses
+    if backend == "exact":
+        assert len(witnesses) == 2
+        a, delta = witnesses[0]
+        assert a is probe and delta == (near,)
+    else:
+        assert len(witnesses) == 1  # only the canonical probe
+    assert witnesses[-1][0].close_to(canonical_probe(v))

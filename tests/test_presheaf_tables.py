@@ -1,0 +1,274 @@
+"""The presheaf layers driven by truth tables and image arrays, against the
+per-element, per-square loops they replaced.
+
+`valuation_table`, the square walk behind `check_valuation` and
+`natural_transformation_check`, `clopen_iso_check`, `probability_family`
+and `check_coarse_subobject` decide each (stage, mask) weight once and read
+each morphism's images from one array. The references below coarse-grain
+every element into every lower stage with `coarse_grain` or `image_mask`,
+one at a time, as the code did before.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import make_rng, random_density, random_poset
+
+from qcontexts.coarse import (
+    LatticeElement,
+    clopen_iso_check,
+    clopen_of,
+    coarse_grain,
+    image_mask,
+    image_masks,
+    lattice,
+    projector_restrictions,
+)
+from qcontexts.contexts import ContextPoset, all_coarsenings, build_poset
+from qcontexts.intervals import (
+    CoarseGlobalElement,
+    _true_set_infimum,
+    check_coarse_subobject,
+    global_element_from_valuation,
+    probability_family,
+)
+from qcontexts.ks import load_rayset, poset_from_rayset
+from qcontexts.linalg import DensityMatrix, ValidationError
+from qcontexts.valuations import (
+    Sieve,
+    ValuationTable,
+    _at_least,
+    _mask_weight,
+    check_valuation,
+    natural_transformation_check,
+    stage_weights,
+    valuation_table,
+)
+
+THRESHOLDS = [1, Fraction(3, 5), Fraction(3, 10)]
+
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+
+def valuation_table_reference(rho, poset, r):
+    """One sieve per element, one weight decision per square."""
+    weights = stage_weights(rho, poset)
+    maps = {}
+    for cid in poset.ids():
+        stage_map = {}
+        for elem in lattice(poset.contexts[cid]):
+            members = set()
+            for sub in poset.below(cid):
+                coarse = coarse_grain(poset, elem, sub)
+                if _at_least(_mask_weight(weights[sub], coarse.mask), r, poset.backend):
+                    members.add(sub)
+            stage_map[elem.mask] = Sieve.build(cid, members, poset)
+        maps[cid] = stage_map
+    return ValuationTable(poset, maps, r=r)
+
+
+def first_failing_square_reference(table, restriction):
+    """(squares visited, first failing (sub, sup, mask, pulled, assigned))."""
+    poset = table.poset
+    squares = 0
+    for sub, sup in poset.proper_pairs():
+        below_sub = set(poset.below(sub))
+        for mask in range(1 << poset.contexts[sup].n_atoms):
+            squares += 1
+            pulled = table.maps[sup][mask].members & below_sub
+            assigned = table.maps[sub][image_mask(restriction[(sub, sup)], mask)].members
+            if pulled != assigned:
+                return squares, (sub, sup, mask, pulled, assigned)
+    return squares, None
+
+
+def clopen_iso_reference(poset):
+    """The clopen check with the projector-order action, element by element."""
+    maps = projector_restrictions(poset)
+    for cid in poset.ids():
+        seen = set()
+        for elem in lattice(poset.contexts[cid]):
+            s = clopen_of(elem, poset.contexts[cid])
+            assert s not in seen
+            seen.add(s)
+    morphisms = 0
+    for sub, sup in poset.proper_pairs():
+        morphisms += 1
+        target = poset.contexts[sub]
+        for elem in lattice(poset.contexts[sup]):
+            via_coarse = clopen_of(coarse_grain(poset, elem, sub), target)
+            via_action = clopen_of(
+                LatticeElement(sub, image_mask(maps[(sub, sup)], elem.mask)), target)
+            if via_coarse != via_action:
+                return {"ok": False, "counterexample": {
+                    "morphism": [sub, sup], "mask": elem.mask,
+                    "coarse_route": sorted(f.index for f in via_coarse),
+                    "action_route": sorted(f.index for f in via_action)}}
+    return {"ok": True, "stages_checked": len(poset), "morphisms_checked": morphisms,
+            "counterexample": None}
+
+
+def coarse_subobject_reference(family, poset):
+    """Per-morphism containment and equality, one `coarse_grain` per mask."""
+    morphisms = []
+    for sub, sup in poset.proper_pairs():
+        image = frozenset(coarse_grain(poset, LatticeElement(sup, m), sub).mask
+                          for m in family.masks[sup])
+        morphisms.append({"morphism": [sub, sup], "containment": image <= family.masks[sub],
+                          "equality": image == family.masks[sub]})
+    return {"ok": all(m["containment"] for m in morphisms),
+            "equality": all(m["equality"] for m in morphisms), "morphisms": morphisms}
+
+
+def global_element_reference(table, poset):
+    """The true-set infima and the first morphism that does not coarse-grain
+    one onto the other."""
+    choices = {cid: _true_set_infimum(table, cid) for cid in poset.ids()}
+    for sub, sup in poset.proper_pairs():
+        expected = coarse_grain(poset, LatticeElement(sup, choices[sup]), sub).mask
+        if choices[sub] != expected:
+            return None, {"ok": False, "violating_morphism": [sub, sup],
+                          "infimum_above": choices[sup], "infimum_below": choices[sub],
+                          "coarse_grained_above": expected}
+    return CoarseGlobalElement(choices), {"ok": True, "violating_morphism": None}
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def rotated_map(poset):
+    """The poset with the atom map of its first proper pair that has one
+    rotated by a place: the same image set, but not the map the projectors
+    give. On ks18 this is the (1, 1, 0, 1) -> (1, 0, 1, 1) change of
+    test_law_checks. None when every map is constant, as into the trivial
+    context."""
+    pair = next((p for p in poset.proper_pairs() if len(set(poset.restriction[p])) > 1), None)
+    if pair is None:
+        return None
+    restriction = dict(poset.restriction)
+    restriction[pair] = restriction[pair][1:] + restriction[pair][:1]
+    return ContextPoset(poset.contexts, poset.leq, poset.down, restriction, poset.bottom_id)
+
+
+def flipped(table, rng):
+    """The table with one context toggled in one sieve: a context below the
+    stage, at a random stage and mask."""
+    poset = table.poset
+    ids = poset.ids()
+    cid = ids[int(rng.integers(len(ids)))]
+    mask = int(rng.integers(1 << poset.contexts[cid].n_atoms))
+    below = poset.below(cid)
+    member = below[int(rng.integers(len(below)))]
+    maps = {c: dict(stage_map) for c, stage_map in table.maps.items()}
+    maps[cid][mask] = Sieve(cid, maps[cid][mask].members ^ {member})
+    return ValuationTable(poset, maps, r=table.r)
+
+
+def ks18_coarsenings():
+    poset = poset_from_rayset(load_rayset("ks18"))
+    gens = [c for cid in poset.maximal_ids() for c in all_coarsenings(poset.contexts[cid])]
+    return build_poset(gens)
+
+
+CASES = [f"float-{seed}" for seed in range(10)] + ["ks18-coarsenings"]
+
+
+def case(name):
+    """One of the ten random float posets of the law checks, or the exact
+    ks18 coarsening poset; with a state and a generator for flips."""
+    if name == "ks18-coarsenings":
+        rho = DensityMatrix.from_diag([Fraction(k, 10) for k in (1, 2, 3, 4)], "exact")
+        return ks18_coarsenings(), rho, make_rng(17)
+    rng = make_rng(int(name.split("-")[1]) + 700)
+    d = int(rng.integers(2, 5))
+    return random_poset(rng, d), random_density(rng, d), rng
+
+
+def built_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return repr(exc)
+
+
+def assert_square_reports_match(table):
+    """The functional-composition and naturality reports name the first
+    failing square of the references, and count the same squares. Returns
+    whether each check failed."""
+    poset = table.poset
+    _, square = first_failing_square_reference(table, poset.restriction)
+    composition = check_valuation(table)["functional_composition"]
+    assert composition["ok"] == (square is None)
+    if square is not None:
+        sub, sup, mask, pulled, assigned = square
+        assert composition["counterexample"] == {
+            "morphism": [sub, sup], "mask": mask,
+            "valuation_of_coarse": sorted(assigned), "pullback": sorted(pulled)}
+    squares, square = first_failing_square_reference(table, projector_restrictions(poset))
+    nat = natural_transformation_check(table)
+    assert nat["ok"] == (square is None) and nat["squares_checked"] == squares
+    if square is not None:
+        sub, sup, mask, pulled, assigned = square
+        assert nat["counterexample"] == {
+            "morphism": [sub, sup], "mask": mask,
+            "pulled": sorted(pulled), "assigned": sorted(assigned)}
+    assert global_element_from_valuation(table, poset) == global_element_reference(table, poset)
+    return not composition["ok"], not nat["ok"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_tables_and_reports_match_references(name):
+    poset, rho, rng = case(name)
+    bad = rotated_map(poset)  # None on the d = 2 posets, whose maps are all constant
+    assert clopen_iso_check(poset) == clopen_iso_reference(poset)
+    assert clopen_iso_check(poset)["ok"]
+    if bad is not None:
+        assert clopen_iso_check(bad) == clopen_iso_reference(bad)
+        assert not clopen_iso_check(bad)["ok"]
+    failures = {"intact": set(), "rotated": set(), "flipped": set()}
+    for r in THRESHOLDS:
+        table = valuation_table(rho, poset, r=r)
+        assert table.maps == valuation_table_reference(rho, poset, r).maps
+        variants = [("intact", table), ("flipped", flipped(table, rng))]
+        if bad is not None:
+            # on the rotated map a sieve may stop being a lower set; then both raise
+            assert (built_or_error(lambda: valuation_table(rho, bad, r=r).maps)
+                    == built_or_error(lambda: valuation_table_reference(rho, bad, r).maps))
+            variants.append(("rotated", ValuationTable(bad, table.maps, r)))
+        for variant, t in variants:
+            composition, naturality = assert_square_reports_match(t)
+            failures[variant] |= {"composition"} if composition else set()
+            failures[variant] |= {"naturality"} if naturality else set()
+        family = probability_family(rho, r, poset)
+        for p in (poset, bad) if bad is not None else (poset,):
+            assert check_coarse_subobject(family, p) == coarse_subobject_reference(family, p)
+    # the intact table passes both; the rotated map fails composition only,
+    # since the table agrees with the projectors
+    assert failures["intact"] == set()
+    assert failures["rotated"] == (set() if bad is None else {"composition"})
+    assert failures["flipped"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_sieve_and_family_share_truth_tables(name):
+    """At every stage, a stage is in its own sieve of a mask iff the mask is
+    in the probability family there."""
+    poset, rho, _ = case(name)
+    for r in THRESHOLDS:
+        table = valuation_table(rho, poset, r=r)
+        family = probability_family(rho, r, poset)
+        for cid in poset.ids():
+            for m in range(1 << poset.contexts[cid].n_atoms):
+                assert (cid in table.maps[cid][m].members) == (m in family.masks[cid])
+
+
+def test_image_masks_match_image_mask():
+    for rmap in [(0,), (1, 0, 1), (2, 0, 1, 0), (0, 0, 0, 0, 1)]:
+        img = image_masks(rmap, len(rmap))
+        assert img == [image_mask(rmap, m) for m in range(1 << len(rmap))]

@@ -10,6 +10,7 @@ from qcontexts.contexts import Context, all_coarsenings, build_poset
 from qcontexts.linalg import DensityMatrix, Projector, ValidationError
 from qcontexts.valuations import (
     Sieve,
+    ValuationTable,
     check_valuation,
     empty_sieve,
     natural_transformation_check,
@@ -183,3 +184,21 @@ def test_unit_condition_at_every_stage():
     table = valuation_table(rho, poset)
     for cid in poset.ids():
         assert table.sieve(top(poset.contexts[cid])) == principal_sieve(poset, cid)
+
+
+def test_null_failure_does_not_hide_unit_failures():
+    poset = random_poset(make_rng(1), 3)
+    table = valuation_table(DensityMatrix.maximally_mixed(3, "float"), poset)
+    ids = poset.ids()
+    first, last = ids[0], ids[-1]
+    maps = {cid: dict(stage_map) for cid, stage_map in table.maps.items()}
+    maps[first][0] = Sieve(first, frozenset({first}))
+    maps[last][(1 << poset.contexts[last].n_atoms) - 1] = empty_sieve(last)
+    report = check_valuation(ValuationTable(poset, maps, r=table.r))
+    assert report["null_proposition"] == {"ok": False, "counterexample": {"stage": first}}
+    assert report["unit_proposition"] == {
+        "ok": False, "counterexample": {"stage": last, "sieve": []}, "checked": True}
+    # with two stages failing unit, the first is reported
+    maps[ids[1]][(1 << poset.contexts[ids[1]].n_atoms) - 1] = empty_sieve(ids[1])
+    report = check_valuation(ValuationTable(poset, maps, r=table.r))
+    assert report["unit_proposition"]["counterexample"]["stage"] == ids[1]
