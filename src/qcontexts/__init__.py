@@ -13,6 +13,7 @@ from .coarse import (
     coarse_grain_bruteforce,
     element_projector,
     lattice,
+    projector_restrictions,
 )
 from .contexts import (
     Context,
@@ -24,7 +25,6 @@ from .contexts import (
     all_coarsenings,
     build_poset,
     check_state_global_element,
-    check_weight_family,
     is_subalgebra,
     meet,
     restrict_functional,
@@ -69,10 +69,12 @@ from .linalg import (
 )
 from .scalars import ExactComplex, QSqrt2, get_eps, set_eps
 from .valuations import (
+    PresheafTables,
     Sieve,
     ValuationTable,
     check_valuation,
     natural_transformation_check,
+    presheaf_tables,
     principal_sieve,
     pullback,
     state_valuation,

@@ -23,14 +23,16 @@ from .scalars import QSqrt2, get_eps, set_eps
 
 
 def _load_poset(args) -> contexts.ContextPoset:
-    if getattr(args, "poset", None):
+    if args.poset:
+        if args.rays or args.pairs or args.coarsenings or not args.close:
+            raise ValidationError("--rays, --pairs, --coarsenings and --no-close "
+                                  "do not apply to --poset")
         with open(args.poset) as fh:
             return contexts.ContextPoset.from_json(json.load(fh))
-    if getattr(args, "rays", None):
+    if args.rays:
         rs = ks.load_rayset(args.rays)
-        poset = ks.poset_from_rayset(rs, close=getattr(args, "close", True),
-                                     include_pairs=getattr(args, "pairs", False))
-        if getattr(args, "coarsenings", False):
+        poset = ks.poset_from_rayset(rs, close=args.close, include_pairs=args.pairs)
+        if args.coarsenings:
             gens = []
             for cid in poset.maximal_ids():
                 gens.extend(contexts.all_coarsenings(poset.contexts[cid]))
@@ -102,8 +104,12 @@ def _parse_r(args):
     return r
 
 
-def _state_r_value(r: Fraction, backend: str):
-    return QSqrt2(r) if backend == "exact" else float(r)
+def _presheaf_tables(args, poset) -> valuations.PresheafTables:
+    """The state's presheaf tables at the command's threshold."""
+    r = _parse_r(args)
+    rho = _parse_state(args.state, poset.dim, poset.backend)
+    return valuations.presheaf_tables(rho, poset, QSqrt2(r) if poset.backend == "exact"
+                                      else float(r))
 
 
 def _emit(report: dict, args) -> None:
@@ -139,9 +145,7 @@ def cmd_build_poset(args) -> int:
 
 def cmd_valuate(args) -> int:
     poset = _load_poset(args)
-    r = _parse_r(args)
-    rho = _parse_state(args.state, poset.dim, poset.backend)
-    table = valuations.valuation_table(rho, poset, r=_state_r_value(r, poset.backend))
+    table = valuations.valuation_table(_presheaf_tables(args, poset))
     axioms = valuations.check_valuation(
         table, require_exclusivity=not args.no_exclusivity,
         require_unit=not args.no_unit,
@@ -157,18 +161,19 @@ def cmd_valuate(args) -> int:
 
 
 def cmd_intervals(args) -> int:
+    if args.no_unit:
+        raise ValidationError("--no-unit does not apply to intervals")
     poset = _load_poset(args)
-    r = _parse_r(args)
-    rho = _parse_state(args.state, poset.dim, poset.backend)
-    rv = _state_r_value(r, poset.backend)
-    table = valuations.valuation_table(rho, poset, r=rv)
+    tables = _presheaf_tables(args, poset)
+    table = valuations.valuation_table(tables)
 
-    true_sub = intervals.true_subobject(rho, poset)
+    true_sub = intervals.true_subobject(tables)
     sigma_report = intervals.check_spectral_subobject(true_sub, poset)
     gamma, gamma_report = intervals.global_element_from_valuation(table, poset)
-    family = intervals.probability_family(rho, rv, poset)
-    g_report = intervals.check_coarse_subobject(family, poset)
-    semantic = intervals.check_semantic_subobject(family, poset)
+    family = intervals.probability_family(tables)
+    g_report = intervals.check_coarse_subobject(family, tables)
+    semantic = intervals.check_semantic_subobject(
+        family, g_report, poset, require_exclusivity=not args.no_exclusivity)
 
     ideal_matches = None
     psi = _state_vector(args.state, poset.dim)
@@ -216,19 +221,22 @@ def cmd_ks_check(args) -> int:
 
 def cmd_verify_axioms(args) -> int:
     poset = _load_poset(args)
-    r = _parse_r(args)
-    rho = _parse_state(args.state, poset.dim, poset.backend)
-    rv = _state_r_value(r, poset.backend)
-    table = valuations.valuation_table(rho, poset, r=rv)
+    tables = _presheaf_tables(args, poset)
+    table = valuations.valuation_table(tables)
+    maps = coarse.projector_restrictions(poset)
 
     checks = {
         "coarse_functoriality": coarse.coarse_functoriality_check(poset),
-        "clopen_isomorphism": coarse.clopen_iso_check(poset),
-        "valuation_axioms": valuations.check_valuation(table),
-        "naturality": valuations.natural_transformation_check(table),
-        "state_global_element": {"ok": contexts.check_state_global_element(rho, poset)},
+        "clopen_isomorphism": coarse.clopen_iso_check(poset, maps),
+        "valuation_axioms": valuations.check_valuation(
+            table, require_exclusivity=not args.no_exclusivity,
+            require_unit=not args.no_unit,
+        ),
+        "naturality": valuations.natural_transformation_check(table, maps),
+        "state_global_element": {
+            "ok": contexts.check_state_global_element(tables.weights, poset)},
         "coarse_subobject": intervals.check_coarse_subobject(
-            intervals.probability_family(rho, rv, poset), poset),
+            intervals.probability_family(tables), tables),
     }
     ok = all(c["ok"] for c in checks.values())
     report = {"config": _config_of(args), "checks": checks, "ok": ok}

@@ -583,16 +583,18 @@ def restrict_state(rho: DensityMatrix, v: Context) -> StateOnContext:
     return StateOnContext(v.id, tuple(born_probability(rho, a) for a in v.atoms))
 
 
-def check_weight_family(family: dict, poset: ContextPoset) -> bool:
-    """True iff per-stage weights push forward consistently along every pair.
+def check_state_global_element(weights: dict, poset: ContextPoset) -> bool:
+    """Whether per-stage atom weights (context id -> tuple, as a state's
+    `restrict_state` weights) are a global element of the state presheaf:
+    they push forward consistently along every pair.
 
     Exact weights are summed in Q(sqrt 2) and compared with ``==``; float
     weights agree within 1e-7.
     """
     exact = poset.backend == "exact"
     for sub, sup in poset.proper_pairs():
-        w_sup = family[sup]
-        w_sub = family[sub]
+        w_sup = weights[sup]
+        w_sub = weights[sub]
         rmap = poset.restriction[(sub, sup)]
         pushed = [QSqrt2(0) if exact else 0.0] * len(w_sub)
         for i, w in enumerate(w_sup):
@@ -604,12 +606,6 @@ def check_weight_family(family: dict, poset: ContextPoset) -> bool:
         if differ:
             return False
     return True
-
-
-def check_state_global_element(rho: DensityMatrix, poset: ContextPoset) -> bool:
-    """Whether the rho-induced family of states is a global element."""
-    family = {cid: restrict_state(rho, poset.contexts[cid]).weights for cid in poset.ids()}
-    return check_weight_family(family, poset)
 
 
 def poset_to_json_str(poset: ContextPoset) -> str:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coarse import LatticeElement, image_mask, image_masks, lattice, lattice_covers
+from .coarse import LatticeElement, image_mask, lattice, lattice_covers
 from .contexts import Context, ContextPoset
-from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
-from .valuations import (ValuationTable, _first_disjoint_pair, _truth_tables, principal_sieve,
-                         stage_weights)
+from .linalg import ValidationError, get_eps
+from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair, principal_sieve
+from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,24 @@ def true_set(table: ValuationTable, cid: str):
     return {e for e in lattice(poset.contexts[cid]) if table.sieve(e) == true_v}
 
 
-def support(rho: DensityMatrix, v: Context) -> LatticeElement:
+def support(weights, v: Context) -> LatticeElement:
     """The least projector in the context's lattice with full Born weight:
-    the sum of atoms carrying positive weight."""
+    the sum of atoms carrying positive weight, given the context's atom
+    weights (`restrict_state`, or one stage of `PresheafTables.weights`)."""
     threshold = 0 if v.backend == "exact" else get_eps()
     mask = 0
-    for i, atom in enumerate(v.atoms):
-        if born_probability(rho, atom) > threshold:
+    for i, w in enumerate(weights):
+        if w > threshold:
             mask |= 1 << i
     return LatticeElement(v.id, mask)
 
 
-def true_subobject(rho: DensityMatrix, poset: ContextPoset) -> IntervalAssignment:
+def true_subobject(tables: PresheafTables) -> IntervalAssignment:
     """Per stage, the functionals dominated by the support; never empty."""
     sets = {}
-    for cid in poset.ids():
-        v = poset.contexts[cid]
-        q = support(rho, v)
+    for cid in tables.poset.ids():
+        v = tables.poset.contexts[cid]
+        q = support(tables.weights[cid], v)
         sets[cid] = frozenset(i for i in range(v.n_atoms) if q.mask >> i & 1)
     return IntervalAssignment(sets)
 
@@ -175,21 +176,18 @@ def interval_from_global_element(gamma: CoarseGlobalElement, poset: ContextPoset
 # ---------------------------------------------------------------------------
 
 
-def probability_family(rho: DensityMatrix, r, poset: ContextPoset) -> ProjectorFamily:
+def probability_family(tables: PresheafTables) -> ProjectorFamily:
     """Per stage, the lattice elements with Born weight at least r.
 
     The family is a subobject of the coarse-graining presheaf whose image
     under every coarse-graining equals the lower stage's family, for every r
     in (0, 1]; see `check_coarse_subobject`.
     """
-    if not 0 < float(r) <= 1:
-        raise ValidationError("threshold r must lie in (0, 1]")
-    truth = _truth_tables(stage_weights(rho, poset), r, poset.backend)
-    return ProjectorFamily({cid: frozenset(q for q, ok in enumerate(truth[cid]) if ok)
-                            for cid in poset.ids()})
+    return ProjectorFamily({cid: frozenset(q for q, ok in enumerate(truth) if ok)
+                            for cid, truth in tables.truth.items()})
 
 
-def check_coarse_subobject(family: ProjectorFamily, poset: ContextPoset) -> dict:
+def check_coarse_subobject(family: ProjectorFamily, tables: PresheafTables) -> dict:
     """Image containment (the subobject condition) per morphism, and
     separately whether the image equals the lower stage's set.
 
@@ -205,8 +203,8 @@ def check_coarse_subobject(family: ProjectorFamily, poset: ContextPoset) -> dict
     morphisms = []
     containment_ok = True
     equality_ok = True
-    for sub, sup in poset.proper_pairs():
-        img = image_masks(poset.restriction[(sub, sup)], poset.contexts[sup].n_atoms)
+    for sub, sup in tables.poset.proper_pairs():
+        img = tables.images[(sub, sup)]
         image = frozenset(img[m] for m in family.masks[sup])
         target = family.masks[sub]
         containment = image <= target
@@ -219,12 +217,12 @@ def check_coarse_subobject(family: ProjectorFamily, poset: ContextPoset) -> dict
     return {"ok": containment_ok, "equality": equality_ok, "morphisms": morphisms}
 
 
-def check_semantic_subobject(family: ProjectorFamily, poset: ContextPoset,
+def check_semantic_subobject(family: ProjectorFamily, sub_report: dict, poset: ContextPoset,
                              require_exclusivity: bool = True) -> dict:
-    """The four semantic-subobject properties: image containment, no null
+    """The four semantic-subobject properties: image containment (read from
+    ``sub_report``, the family's `check_coarse_subobject` report), no null
     element, upper-set, and (optionally) no disjoint pair."""
     report = {}
-    sub_report = check_coarse_subobject(family, poset)
     report["functional_composition"] = {
         "ok": sub_report["ok"],
         "counterexample": None if sub_report["ok"] else next(

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarse import (LatticeElement, image_masks, lattice_covers, lattice_size,
-                     projector_restrictions, top)
+from .coarse import LatticeElement, image_masks, lattice_covers, lattice_size, top
 from .contexts import ContextPoset
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .scalars import QSqrt2
@@ -104,14 +103,32 @@ def _truth_tables(weights: dict, r, backend: str) -> dict:
             for cid, w in weights.items()}
 
 
-def _stage_sieves(poset: ContextPoset, truth: dict, cid: str, masks) -> dict:
-    """The sieve of each given mask of stage cid: the contexts below cid
-    whose truth table holds at the mask's image there."""
-    n = poset.contexts[cid].n_atoms
-    images = [(sub, truth[sub], image_masks(poset.restriction[(sub, cid)], n))
-              for sub in poset.below(cid)]
-    return {m: Sieve.build(cid, {sub for sub, t, img in images if t[img[m]]}, poset)
-            for m in masks}
+@dataclass(frozen=True)
+class PresheafTables:
+    """What the constructions of a state on a poset read: each stage's atom
+    Born weights, each stage's truth table at threshold r, and the image
+    array (`image_masks`) of every proper morphism under
+    ``poset.restriction``. One command builds one of these."""
+
+    poset: ContextPoset
+    weights: dict  # context id -> tuple of atom Born weights
+    truth: dict  # context id -> list indexed by mask: weight >= r
+    images: dict  # (sub, sup) -> list indexed by mask of sup: image mask in sub
+
+
+def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTables:
+    """Weights, truth tables and image arrays of a state on a poset, each
+    computed once."""
+    if not 0 < float(r) <= 1:
+        raise ValidationError("threshold r must lie in (0, 1]")
+    weights = stage_weights(rho, poset)
+    # the lattice bound applies before any 2^k table is built
+    for cid in poset.ids():
+        lattice_size(poset.contexts[cid])
+    truth = _truth_tables(weights, r, poset.backend)
+    images = {(sub, sup): image_masks(poset.restriction[(sub, sup)], poset.contexts[sup].n_atoms)
+              for sub, sup in poset.proper_pairs()}
+    return PresheafTables(poset, weights, truth, images)
 
 
 def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPoset,
@@ -121,21 +138,19 @@ def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPose
     With r = 1 this is the probability-one valuation; the lower-set property
     follows from monotonicity of Born weight under coarse-graining.
     """
-    if not 0 < float(r) <= 1:
-        raise ValidationError("threshold r must lie in (0, 1]")
-    truth = _truth_tables(stage_weights(rho, poset), r, poset.backend)
-    return _stage_sieves(poset, truth, elem.context_id, [elem.mask])[elem.mask]
+    return valuation_table(presheaf_tables(rho, poset, r)).sieve(elem)
 
 
 class ValuationTable:
-    """A total assignment of sieves to every lattice element of every stage."""
+    """A total assignment of sieves to every lattice element of every stage,
+    with the presheaf tables its squares are checked against."""
 
-    __slots__ = ("poset", "maps", "r")
+    __slots__ = ("tables", "poset", "maps")
 
-    def __init__(self, poset: ContextPoset, maps: dict, r=None):
-        self.poset = poset
+    def __init__(self, tables: PresheafTables, maps: dict):
+        self.tables = tables
+        self.poset = poset = tables.poset
         self.maps = maps
-        self.r = r
         for cid in poset.ids():
             stage_map = maps.get(cid)
             if stage_map is None:
@@ -158,16 +173,19 @@ class ValuationTable:
         }
 
 
-def valuation_table(rho: DensityMatrix, poset: ContextPoset, r=1) -> ValuationTable:
-    """Materialize the state-derived valuation over the whole poset."""
-    if not 0 < float(r) <= 1:
-        raise ValidationError("threshold r must lie in (0, 1]")
-    weights = stage_weights(rho, poset)
-    # the lattice bound applies before any 2^k truth table is built
-    sizes = {cid: lattice_size(poset.contexts[cid]) for cid in poset.ids()}
-    truth = _truth_tables(weights, r, poset.backend)
-    maps = {cid: _stage_sieves(poset, truth, cid, range(size)) for cid, size in sizes.items()}
-    return ValuationTable(poset, maps, r=r)
+def valuation_table(tables: PresheafTables) -> ValuationTable:
+    """Materialize the state-derived valuation over the whole poset. The
+    sieve of a mask at stage cid holds the contexts below cid whose truth
+    table holds at the mask's image there; the image of the reflexive pair
+    is the identity, so cid reads its own table."""
+    poset, truth, images = tables.poset, tables.truth, tables.images
+    maps = {}
+    for cid in poset.ids():
+        rows = [(sub, truth[cid] if sub == cid else [truth[sub][q] for q in images[(sub, cid)]])
+                for sub in poset.below(cid)]
+        maps[cid] = {m: Sieve.build(cid, {sub for sub, row in rows if row[m]}, poset)
+                     for m in range(len(truth[cid]))}
+    return ValuationTable(tables, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +206,7 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
         "unit_proposition": {"ok": True, "counterexample": None, "checked": require_unit},
     }
 
-    _, square = _first_failing_square(table, poset.restriction)
+    _, square = _first_failing_square(table, table.tables.images)
     if square is not None:
         sub, sup, mask, pulled, assigned = square
         report["functional_composition"] = {
@@ -247,13 +265,17 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
     return report
 
 
-def natural_transformation_check(table: ValuationTable) -> dict:
+def natural_transformation_check(table: ValuationTable, maps: dict) -> dict:
     """Independent cross-check: the per-stage maps commute with the morphism
     actions of the coarse-graining presheaf and the classifier (naturality
-    square), verified square by square. Coarse-graining here follows the
-    atom maps recomputed from the projector order, so a restriction table
-    that disagrees with the matrices fails the check."""
-    squares, square = _first_failing_square(table, projector_restrictions(table.poset))
+    square), verified square by square. Coarse-graining here follows
+    ``maps``, the atom maps recomputed from the projector order by
+    `projector_restrictions`, so a restriction table that disagrees with the
+    matrices fails the check."""
+    contexts = table.poset.contexts
+    images = {(sub, sup): image_masks(rmap, contexts[sup].n_atoms)
+              for (sub, sup), rmap in maps.items()}
+    squares, square = _first_failing_square(table, images)
     if square is None:
         return {"ok": True, "squares_checked": squares, "counterexample": None}
     sub, sup, mask, pulled, assigned = square
@@ -269,22 +291,20 @@ def natural_transformation_check(table: ValuationTable) -> dict:
     }
 
 
-def _first_failing_square(table: ValuationTable, restriction):
+def _first_failing_square(table: ValuationTable, images: dict):
     """Walk the squares (morphism sub < sup, element of sup) in order: each
     commutes when the element's sieve pulled back to sub is the sieve of its
-    image under ``restriction[(sub, sup)]``. Returns the number of squares
+    image ``images[(sub, sup)][mask]``. Returns the number of squares
     visited and the first failing one, (sub, sup, mask, pulled, assigned)."""
     poset = table.poset
     squares = 0
     for sub, sup in poset.proper_pairs():
-        n = poset.contexts[sup].n_atoms
-        img = image_masks(restriction[(sub, sup)], n)
         below_sub = set(poset.below(sub))
         lower, upper = table.maps[sub], table.maps[sup]
-        for mask in range(1 << n):
+        for mask, image in enumerate(images[(sub, sup)]):
             squares += 1
             pulled = upper[mask].members & below_sub
-            assigned = lower[img[mask]].members
+            assigned = lower[image].members
             if pulled != assigned:
                 return squares, (sub, sup, mask, pulled, assigned)
     return squares, None

@@ -21,13 +21,13 @@ from qcontexts.coarse import (
     coarse_grain_bruteforce,
     element_projector,
     lattice,
+    projector_restrictions,
 )
 from qcontexts.contexts import (
     Context,
     all_coarsenings,
     build_poset,
     check_state_global_element,
-    check_weight_family,
     restrict_state,
 )
 from qcontexts.intervals import (
@@ -51,6 +51,8 @@ from qcontexts.linalg import DensityMatrix, Projector, born_probability
 from qcontexts.valuations import (
     check_valuation,
     natural_transformation_check,
+    presheaf_tables,
+    stage_weights,
     valuation_table,
 )
 
@@ -146,14 +148,14 @@ def test_criterion_3_valuation_axioms():
         poset = random_poset(rng, d)
         assert len(poset) <= 10
         rho = random_density(rng, d)
-        table = valuation_table(rho, poset, r=1)
+        table = valuation_table(presheaf_tables(rho, poset, 1))
         rep = check_valuation(table)
-        nat = natural_transformation_check(table)
+        nat = natural_transformation_check(table, projector_restrictions(poset))
         if not (rep["ok"] and nat["ok"]):
             failures.append((count, rep, nat))
         if count < 20:  # threshold variants on a subsample
             for r in (0.6, 0.8):
-                trep = check_valuation(valuation_table(rho, poset, r=r))
+                trep = check_valuation(valuation_table(presheaf_tables(rho, poset, r)))
                 if not trep["ok"]:
                     failures.append((count, r, trep))
         count += 1
@@ -162,7 +164,7 @@ def test_criterion_3_valuation_axioms():
     v, poset = diag_poset_exact(3)
     rho = DensityMatrix.from_diag(
         [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)], "exact")
-    rep = check_valuation(valuation_table(rho, poset, r=Fraction(3, 10)))
+    rep = check_valuation(valuation_table(presheaf_tables(rho, poset, Fraction(3, 10))))
     witness_ok = False
     if not rep["exclusivity"]["ok"]:
         cx = rep["exclusivity"]["counterexample"]
@@ -194,7 +196,8 @@ def test_criterion_4a_true_subobject_weak_law():
         d = 2 + i % 3
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        if not check_spectral_subobject(true_subobject(rho, poset), poset)["ok"]:
+        assignment = true_subobject(presheaf_tables(rho, poset, 1))
+        if not check_spectral_subobject(assignment, poset)["ok"]:
             bad += 1
     verdict(4, bad == 0, "(a) true-subobject weak law on 100 random states")
     assert bad == 0
@@ -207,7 +210,7 @@ def test_criterion_4b_global_element_strong_law():
         d = 2 + i % 3
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        table = valuation_table(rho, poset, r=1)
+        table = valuation_table(presheaf_tables(rho, poset, 1))
         gamma, rep = global_element_from_valuation(table, poset)
         if gamma is None:
             bad += 1
@@ -225,7 +228,7 @@ def test_criterion_4c_threshold_global_element_failure():
     v, poset = diag_poset_exact(3)
     rho = DensityMatrix.from_diag(
         [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], "exact")
-    table = valuation_table(rho, poset, r=Fraction(3, 5))
+    table = valuation_table(presheaf_tables(rho, poset, Fraction(3, 5)))
     gamma, rep = global_element_from_valuation(table, poset)
 
     e0 = Projector.from_ray([1, 0, 0], "exact")
@@ -259,7 +262,8 @@ def test_criterion_4d_threshold_family_containment_and_equality():
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
         for r in (1.0, 0.8, 0.6, 0.35):
-            rep = check_coarse_subobject(probability_family(rho, r, poset), poset)
+            tables = presheaf_tables(rho, poset, r)
+            rep = check_coarse_subobject(probability_family(tables), tables)
             if not rep["ok"]:
                 containment_bad += 1
             if r < 1.0:
@@ -299,7 +303,7 @@ def test_criterion_5_ideal_support_equivalence():
         poset = random_poset(rng, d)
         psi = random_pure(rng, d)
         rho = DensityMatrix.pure(psi, "float")
-        if ideal_valuation(psi, poset).sets != true_subobject(rho, poset).sets:
+        if ideal_valuation(psi, poset).sets != true_subobject(presheaf_tables(rho, poset, 1)).sets:
             mism += 1
         if states % 10 == 0:  # brute-force minimality on a subsample
             for cid in poset.ids():
@@ -335,7 +339,7 @@ def test_criterion_6_presheaf_laws():
                 if any(r23[r12[i]] != r13[i] for i in range(len(r12))):
                     composition_bad += 1
         rho = random_density(make_rng(6100 + seed), poset.dim)
-        if not check_state_global_element(rho, poset):
+        if not check_state_global_element(stage_weights(rho, poset), poset):
             ge_bad += 1
 
     mutations_caught = 0
@@ -350,7 +354,7 @@ def test_criterion_6_presheaf_laws():
         victim, _ = pairs[k % len(pairs)]
         slot = k % poset.contexts[victim].n_atoms
         family[victim][slot] += 0.05  # single-weight perturbation
-        if not check_weight_family(family, poset):
+        if not check_state_global_element(family, poset):
             mutations_caught += 1
 
     ok = composition_bad == 0 and ge_bad == 0 and mutations_caught == 20

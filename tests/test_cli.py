@@ -183,6 +183,44 @@ def test_verify_axioms(tmp_path, capsys):
     assert report["ok"] and all(c["ok"] for c in report["checks"].values())
 
 
+@pytest.mark.parametrize("argv, unchecked", [
+    (["verify-axioms", "--no-exclusivity", "--no-unit"],
+     [("checks", "valuation_axioms", "exclusivity"),
+      ("checks", "valuation_axioms", "unit_proposition")]),
+    (["valuate", "--no-exclusivity", "--no-unit"],
+     [("axioms", "exclusivity"), ("axioms", "unit_proposition")]),
+    (["intervals", "--state", "basis-0", "--no-exclusivity"],
+     [("semantic_subobject_check", "exclusivity")]),
+], ids=["verify-axioms", "valuate", "intervals"])
+def test_axiom_flags_reach_the_checks(capsys, argv, unchecked):
+    code, out = run(capsys, *argv, "--rays", "dim2_two_bases")
+    assert code == 0
+    report = json.loads(out)
+    for path in unchecked:
+        law = report
+        for key in path:
+            law = law[key]
+        assert law == {"ok": True, "counterexample": None, "checked": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["intervals", "--rays", "dim2_two_bases", "--no-unit"],
+    ["valuate", "--poset", "poset.json", "--rays", "dim2_two_bases"],
+    ["verify-axioms", "--poset", "poset.json", "--pairs"],
+    ["intervals", "--poset", "poset.json", "--coarsenings"],
+    ["build-poset", "--poset", "poset.json", "--no-close"],
+], ids=["intervals-no-unit", "poset-rays", "poset-pairs", "poset-coarsenings",
+        "poset-no-close"])
+def test_flag_that_does_not_apply_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")
+    (tmp_path / "poset.json").write_text(json.dumps(json.loads(out)["poset"]))
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "not apply" in json.loads(lines[0])["error"]
+
+
 def test_report_pretty_print(tmp_path, capsys):
     f = tmp_path / "r.json"
     f.write_text('{"b": 1, "a": 2}')

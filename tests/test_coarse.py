@@ -17,6 +17,7 @@ from qcontexts.coarse import (
     coarse_grain_bruteforce,
     element_projector,
     lattice,
+    projector_restrictions,
     top,
 )
 from qcontexts.contexts import Context, ContextPoset, all_coarsenings, build_poset
@@ -151,25 +152,24 @@ def test_clopen_sets_biject_with_lattice():
 def test_clopen_iso_on_random_posets():
     for seed in range(6):
         poset = random_poset(make_rng(seed + 300), 3)
-        report = clopen_iso_check(poset)
+        report = clopen_iso_check(poset, projector_restrictions(poset))
         assert report["ok"], report
 
 
-def test_clopen_iso_detects_broken_action():
+def test_clopen_iso_detects_corrupted_maps():
     poset = random_poset(make_rng(77), 3)
-
-    def universal_action(p, elem, target_id):
-        # wrong on purpose: claims every functional below, ignoring the mask
-        from qcontexts.contexts import SpectralFunctional
-
-        n = p.contexts[target_id].n_atoms
-        if elem.mask == 0:
-            return frozenset()
-        return frozenset(SpectralFunctional(target_id, i) for i in range(n))
-
-    report = clopen_iso_check(poset, action=universal_action)
+    maps = projector_restrictions(poset)
+    # wrong on purpose: one atom of one map sent to another atom below
+    pair = next(p for p in poset.proper_pairs() if poset.contexts[p[0]].n_atoms > 1)
+    rmap = list(maps[pair])
+    i = len(rmap) - 1
+    rmap[i] = (rmap[i] + 1) % poset.contexts[pair[0]].n_atoms
+    maps[pair] = tuple(rmap)
+    report = clopen_iso_check(poset, maps)
     assert not report["ok"]
-    assert report["counterexample"]["morphism"]
+    assert report["counterexample"] == {
+        "morphism": list(pair), "mask": 1 << i,
+        "coarse_route": [poset.restriction[pair][i]], "action_route": [rmap[i]]}
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])

@@ -23,7 +23,6 @@ from qcontexts.contexts import (
     all_coarsenings,
     build_poset,
     check_state_global_element,
-    check_weight_family,
     is_subalgebra,
     meet,
     restrict_functional,
@@ -170,7 +169,8 @@ def test_restrict_state_pushforward():
     rng = make_rng(17)
     poset = random_poset(rng, 3)
     rho = random_density(rng, 3)
-    assert check_state_global_element(rho, poset)
+    weights = {cid: restrict_state(rho, poset.contexts[cid]).weights for cid in poset.ids()}
+    assert check_state_global_element(weights, poset)
 
 
 def test_weight_family_mutation_detected():
@@ -181,10 +181,10 @@ def test_weight_family_mutation_detected():
         cid: list(restrict_state(rho, poset.contexts[cid]).weights)
         for cid in poset.ids()
     }
-    assert check_weight_family(family, poset)
+    assert check_state_global_element(family, poset)
     victim = poset.proper_pairs()[0][0]
     family[victim][0] += 0.05
-    assert not check_weight_family(family, poset)
+    assert not check_state_global_element(family, poset)
 
 
 def test_exact_weight_family_compared_exactly():
@@ -192,15 +192,14 @@ def test_exact_weight_family_compared_exactly():
     v = Context([Projector.from_ray(r, "exact") for r in np.eye(3, dtype=int).tolist()])
     poset = build_poset(all_coarsenings(v))
     rho = DensityMatrix.from_diag([Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)], "exact")
-    assert check_state_global_element(rho, poset)
     family = {
         cid: list(restrict_state(rho, poset.contexts[cid]).weights)
         for cid in poset.ids()
     }
-    assert check_weight_family(family, poset)
+    assert check_state_global_element(family, poset)
     victim = poset.proper_pairs()[0][0]
     family[victim][0] += Fraction(1, 10**9)
-    assert not check_weight_family(family, poset)
+    assert not check_state_global_element(family, poset)
 
 
 def test_poset_json_roundtrip():

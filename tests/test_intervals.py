@@ -6,7 +6,7 @@ import pytest
 from conftest import make_rng, random_density, random_poset, random_pure
 
 from qcontexts.coarse import LatticeElement, element_projector, lattice
-from qcontexts.contexts import Context, all_coarsenings, build_poset
+from qcontexts.contexts import Context, all_coarsenings, build_poset, restrict_state
 from qcontexts.intervals import (
     ProjectorFamily,
     check_coarse_subobject,
@@ -30,7 +30,7 @@ from qcontexts.linalg import (
     apply_function,
     born_probability,
 )
-from qcontexts.valuations import principal_sieve, valuation_table
+from qcontexts.valuations import presheaf_tables, principal_sieve, valuation_table
 
 
 def diag_poset(d: int, backend: str = "exact"):
@@ -53,15 +53,15 @@ def test_support_examples():
     v, _ = diag_poset(3)
     e0 = Projector.from_ray([1, 0, 0], "exact")
     rho = DensityMatrix.pure([1, 0, 0], "exact")
-    q = support(rho, v)
+    q = support(restrict_state(rho, v).weights, v)
     assert element_projector(q, v) == e0
 
     half = DensityMatrix.from_diag([Fraction(1, 2), Fraction(1, 2), 0], "exact")
-    q2 = element_projector(support(half, v), v)
+    q2 = element_projector(support(restrict_state(half, v).weights, v), v)
     assert q2 == Projector.from_span([[1, 0, 0], [0, 1, 0]], "exact")
 
     mixed = DensityMatrix.maximally_mixed(3, "exact")
-    assert support(mixed, v).mask == 0b111
+    assert support(restrict_state(mixed, v).weights, v).mask == 0b111
 
 
 def test_support_is_minimum_of_probability_one_set():
@@ -72,7 +72,7 @@ def test_support_is_minimum_of_probability_one_set():
         rho = random_density(rng, d)
         for cid in poset.ids():
             v = poset.contexts[cid]
-            q = support(rho, v)
+            q = support(restrict_state(rho, v).weights, v)
             ones = [
                 e.mask for e in lattice(v)
                 if born_probability(rho, element_projector(e, v)) >= 1 - 1e-9
@@ -90,7 +90,7 @@ def test_true_subobject_weak_condition_random():
         d = int(rng.integers(2, 5))
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        assignment = true_subobject(rho, poset)
+        assignment = true_subobject(presheaf_tables(rho, poset, 1))
         assert all(assignment.sets[cid] for cid in poset.ids())  # never empty
         report = check_spectral_subobject(assignment, poset)
         assert report["ok"], report
@@ -100,14 +100,15 @@ def test_interval_from_valuation_equals_true_subobject_at_r1():
     rng = make_rng(901)
     poset = random_poset(rng, 3)
     rho = random_density(rng, 3)
-    table = valuation_table(rho, poset, r=1)
-    assert interval_from_valuation(table, poset).sets == true_subobject(rho, poset).sets
+    tables = presheaf_tables(rho, poset, 1)
+    assignment = interval_from_valuation(valuation_table(tables), poset)
+    assert assignment.sets == true_subobject(tables).sets
 
 
 def test_interval_can_be_empty_for_thresholds():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag([Fraction(1, 2), Fraction(1, 2), 0], "exact")
-    table = valuation_table(rho, poset, r=Fraction(1, 2))
+    table = valuation_table(presheaf_tables(rho, poset, Fraction(1, 2)))
     assignment = interval_from_valuation(table, poset)
     # two disjoint true elements at the maximal stage force an empty infimum
     assert assignment.sets[v.id] == frozenset()
@@ -117,7 +118,7 @@ def test_true_set_contains_top_never_bottom():
     rng = make_rng(902)
     poset = random_poset(rng, 3)
     rho = random_density(rng, 3)
-    table = valuation_table(rho, poset, r=1)
+    table = valuation_table(presheaf_tables(rho, poset, 1))
     for cid in poset.ids():
         ts = true_set(table, cid)
         n = poset.contexts[cid].n_atoms
@@ -129,7 +130,7 @@ def test_operator_interval_functoriality():
     # the induced per-operator value sets push through functional calculus
     v, poset = diag_poset(3, "float")
     rho = DensityMatrix.from_diag([0.5, 0.5, 0.0], "float")
-    assignment = true_subobject(rho, poset)
+    assignment = true_subobject(presheaf_tables(rho, poset, 1))
     from qcontexts.linalg import HermitianOperator
 
     a = HermitianOperator.diag([-1, 0, 2], "float")
@@ -149,7 +150,7 @@ def test_global_element_succeeds_at_r1():
         d = int(rng.integers(2, 5))
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        table = valuation_table(rho, poset, r=1)
+        table = valuation_table(presheaf_tables(rho, poset, 1))
         gamma, report = global_element_from_valuation(table, poset)
         assert report["ok"], report
         induced = interval_from_global_element(gamma, poset)
@@ -162,7 +163,7 @@ def test_global_element_fails_for_thresholds():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag(
         [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], "exact")
-    table = valuation_table(rho, poset, r=Fraction(3, 5))
+    table = valuation_table(presheaf_tables(rho, poset, Fraction(3, 5)))
     gamma, report = global_element_from_valuation(table, poset)
     assert gamma is None and not report["ok"]
     sub, sup = report["violating_morphism"]
@@ -190,7 +191,7 @@ def test_probability_family_trace_arithmetic():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag(
         [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], "exact")
-    fam = probability_family(rho, Fraction(3, 5), poset)
+    fam = probability_family(presheaf_tables(rho, poset, Fraction(3, 5)))
     e0 = atom_index(v, Projector.from_ray([1, 0, 0], "exact"))
     e1 = atom_index(v, Projector.from_ray([0, 1, 0], "exact"))
     e2 = atom_index(v, Projector.from_ray([0, 0, 1], "exact"))
@@ -208,19 +209,19 @@ def test_coarse_subobject_containment_always_equality_at_r1():
         d = int(rng.integers(2, 5))
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        fam1 = probability_family(rho, 1, poset)
-        rep1 = check_coarse_subobject(fam1, poset)
+        tables1 = presheaf_tables(rho, poset, 1)
+        rep1 = check_coarse_subobject(probability_family(tables1), tables1)
         assert rep1["ok"] and rep1["equality"]
-        r = float(rng.uniform(0.2, 0.95))
-        fam = probability_family(rho, r, poset)
-        rep = check_coarse_subobject(fam, poset)
+        tables = presheaf_tables(rho, poset, float(rng.uniform(0.2, 0.95)))
+        rep = check_coarse_subobject(probability_family(tables), tables)
         assert rep["ok"], rep
 
 
 def test_coarse_subobject_mutation_detected():
     v, poset = diag_poset(3)
     rho = DensityMatrix.pure([1, 0, 0], "exact")
-    fam = probability_family(rho, 1, poset)
+    tables = presheaf_tables(rho, poset, 1)
+    fam = probability_family(tables)
     # drop one element from a non-maximal stage: containment must break
     sub = next(s for s, t in poset.proper_pairs() if t == v.id
                and poset.contexts[s].n_atoms == 2)
@@ -233,7 +234,7 @@ def test_coarse_subobject_mutation_detected():
         image.add(coarse_grain(poset, LatticeElement(v.id, m), sub).mask)
     victim = next(iter(target & image - {0}))
     masks[sub] = frozenset(target - {victim})
-    rep = check_coarse_subobject(ProjectorFamily(masks), poset)
+    rep = check_coarse_subobject(ProjectorFamily(masks), tables)
     assert not rep["ok"]
 
 
@@ -241,8 +242,9 @@ def test_coarse_subobject_missing_preimage_breaks_equality():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag(
         [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)], "exact")
-    fam = probability_family(rho, Fraction(3, 5), poset)
-    assert check_coarse_subobject(fam, poset)["equality"]
+    tables = presheaf_tables(rho, poset, Fraction(3, 5))
+    fam = probability_family(tables)
+    assert check_coarse_subobject(fam, tables)["equality"]
     # P0+P1 (weight 0.8) is the only preimage at the maximal stage of the
     # P0+P1 atom of the {P0+P1, P2} stage; without it that atom has no preimage
     e0 = atom_index(v, Projector.from_ray([1, 0, 0], "exact"))
@@ -251,7 +253,7 @@ def test_coarse_subobject_missing_preimage_breaks_equality():
     sub = Context([p01, Projector.from_ray([0, 0, 1], "exact")]).id
     masks = dict(fam.masks)
     masks[v.id] = fam.masks[v.id] - {(1 << e0) | (1 << e1)}
-    rep = check_coarse_subobject(ProjectorFamily(masks), poset)
+    rep = check_coarse_subobject(ProjectorFamily(masks), tables)
     assert rep["ok"] and not rep["equality"]
     broken = [m["morphism"] for m in rep["morphisms"] if not m["equality"]]
     assert broken == [[sub, v.id]]
@@ -261,7 +263,9 @@ def test_semantic_subobject_all_pass_at_r1():
     rng = make_rng(1201)
     poset = random_poset(rng, 3)
     rho = random_density(rng, 3)
-    rep = check_semantic_subobject(probability_family(rho, 1, poset), poset)
+    tables = presheaf_tables(rho, poset, 1)
+    fam = probability_family(tables)
+    rep = check_semantic_subobject(fam, check_coarse_subobject(fam, tables), poset)
     assert rep["ok"], rep
 
 
@@ -269,8 +273,10 @@ def test_semantic_subobject_exclusivity_fails_below_half():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag(
         [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)], "exact")
-    fam = probability_family(rho, Fraction(3, 10), poset)
-    rep = check_semantic_subobject(fam, poset)
+    tables = presheaf_tables(rho, poset, Fraction(3, 10))
+    fam = probability_family(tables)
+    coarse = check_coarse_subobject(fam, tables)
+    rep = check_semantic_subobject(fam, coarse, poset)
     assert rep["functional_composition"]["ok"]
     assert rep["null_proposition"]["ok"]
     assert rep["monotonicity"]["ok"]
@@ -278,16 +284,17 @@ def test_semantic_subobject_exclusivity_fails_below_half():
     cx = rep["exclusivity"]["counterexample"]
     assert cx["p"] & cx["q"] == 0
     # relaxing exclusivity accepts the family
-    assert check_semantic_subobject(fam, poset, require_exclusivity=False)["ok"]
+    assert check_semantic_subobject(fam, coarse, poset, require_exclusivity=False)["ok"]
 
 
 def test_semantic_subobject_rejects_null_member():
     v, poset = diag_poset(2)
     rho = DensityMatrix.maximally_mixed(2, "exact")
-    fam = probability_family(rho, Fraction(1, 2), poset)
-    masks = dict(fam.masks)
+    tables = presheaf_tables(rho, poset, Fraction(1, 2))
+    masks = dict(probability_family(tables).masks)
     masks[v.id] = masks[v.id] | {0}
-    rep = check_semantic_subobject(ProjectorFamily(masks), poset)
+    fam = ProjectorFamily(masks)
+    rep = check_semantic_subobject(fam, check_coarse_subobject(fam, tables), poset)
     assert not rep["null_proposition"]["ok"]
 
 
@@ -320,7 +327,7 @@ def test_ideal_valuation_matches_true_subobject_random():
         psi = random_pure(rng, d)
         rho = DensityMatrix.pure(psi, "float")
         ideal = ideal_valuation(psi, poset)
-        ts = true_subobject(rho, poset)
+        ts = true_subobject(presheaf_tables(rho, poset, 1))
         assert ideal.sets == ts.sets
 
 

@@ -1,12 +1,14 @@
-"""The presheaf layers driven by truth tables and image arrays, against the
+"""The presheaf layers driven by one set of presheaf tables, against the
 per-element, per-square loops they replaced.
 
 `valuation_table`, the square walk behind `check_valuation` and
-`natural_transformation_check`, `clopen_iso_check`, `probability_family`
-and `check_coarse_subobject` decide each (stage, mask) weight once and read
+`natural_transformation_check`, `probability_family` and
+`check_coarse_subobject` decide each (stage, mask) weight once and read
 each morphism's images from one array. The references below coarse-grain
 every element into every lower stage with `coarse_grain` or `image_mask`,
-one at a time, as the code did before.
+one at a time, as the code did before. `clopen_iso_check` compares the
+atom maps atom by atom; its reference compares their image arrays mask by
+mask.
 """
 
 from fractions import Fraction
@@ -42,6 +44,7 @@ from qcontexts.valuations import (
     _mask_weight,
     check_valuation,
     natural_transformation_check,
+    presheaf_tables,
     stage_weights,
     valuation_table,
 )
@@ -55,7 +58,8 @@ THRESHOLDS = [1, Fraction(3, 5), Fraction(3, 10)]
 
 
 def valuation_table_reference(rho, poset, r):
-    """One sieve per element, one weight decision per square."""
+    """The sieves of every stage: one sieve per element, one weight decision
+    per square."""
     weights = stage_weights(rho, poset)
     maps = {}
     for cid in poset.ids():
@@ -68,7 +72,7 @@ def valuation_table_reference(rho, poset, r):
                     members.add(sub)
             stage_map[elem.mask] = Sieve.build(cid, members, poset)
         maps[cid] = stage_map
-    return ValuationTable(poset, maps, r=r)
+    return maps
 
 
 def first_failing_square_reference(table, restriction):
@@ -86,30 +90,27 @@ def first_failing_square_reference(table, restriction):
     return squares, None
 
 
-def clopen_iso_reference(poset):
-    """The clopen check with the projector-order action, element by element."""
-    maps = projector_restrictions(poset)
+def clopen_iso_reference(poset, maps):
+    """The clopen check as a stagewise bijection of lattice elements and
+    clopen sets, then per morphism the image array of the restriction table
+    against that of ``maps``, mask by mask."""
     for cid in poset.ids():
-        seen = set()
-        for elem in lattice(poset.contexts[cid]):
-            s = clopen_of(elem, poset.contexts[cid])
-            assert s not in seen
-            seen.add(s)
-    morphisms = 0
+        v = poset.contexts[cid]
+        assert len({clopen_of(elem, v) for elem in lattice(v)}) == 1 << v.n_atoms
     for sub, sup in poset.proper_pairs():
-        morphisms += 1
         target = poset.contexts[sub]
-        for elem in lattice(poset.contexts[sup]):
-            via_coarse = clopen_of(coarse_grain(poset, elem, sub), target)
-            via_action = clopen_of(
-                LatticeElement(sub, image_mask(maps[(sub, sup)], elem.mask)), target)
-            if via_coarse != via_action:
-                return {"ok": False, "counterexample": {
-                    "morphism": [sub, sup], "mask": elem.mask,
-                    "coarse_route": sorted(f.index for f in via_coarse),
-                    "action_route": sorted(f.index for f in via_action)}}
-    return {"ok": True, "stages_checked": len(poset), "morphisms_checked": morphisms,
-            "counterexample": None}
+        n = poset.contexts[sup].n_atoms
+        via_coarse = image_masks(poset.restriction[(sub, sup)], n)
+        via_action = image_masks(maps[(sub, sup)], n)
+        if via_coarse != via_action:
+            m = next(m for m, (c, a) in enumerate(zip(via_coarse, via_action)) if c != a)
+            routes = [sorted(f.index for f in clopen_of(LatticeElement(sub, img[m]), target))
+                      for img in (via_coarse, via_action)]
+            return {"ok": False, "counterexample": {
+                "morphism": [sub, sup], "mask": m,
+                "coarse_route": routes[0], "action_route": routes[1]}}
+    return {"ok": True, "stages_checked": len(poset),
+            "morphisms_checked": len(poset.proper_pairs()), "counterexample": None}
 
 
 def coarse_subobject_reference(family, poset):
@@ -156,6 +157,18 @@ def rotated_map(poset):
     return ContextPoset(poset.contexts, poset.leq, poset.down, restriction, poset.bottom_id)
 
 
+def corrupted(maps, poset):
+    """The atom maps with the last atom of the first proper pair whose lower
+    stage has two atoms or more sent to the next atom there. None when every
+    such stage has one atom, as on the d = 2 posets."""
+    pair = next((p for p in poset.proper_pairs() if poset.contexts[p[0]].n_atoms > 1), None)
+    if pair is None:
+        return None
+    rmap = list(maps[pair])
+    rmap[-1] = (rmap[-1] + 1) % poset.contexts[pair[0]].n_atoms
+    return {**maps, pair: tuple(rmap)}
+
+
 def flipped(table, rng):
     """The table with one context toggled in one sieve: a context below the
     stage, at a random stage and mask."""
@@ -167,7 +180,7 @@ def flipped(table, rng):
     member = below[int(rng.integers(len(below)))]
     maps = {c: dict(stage_map) for c, stage_map in table.maps.items()}
     maps[cid][mask] = Sieve(cid, maps[cid][mask].members ^ {member})
-    return ValuationTable(poset, maps, r=table.r)
+    return ValuationTable(table.tables, maps)
 
 
 def ks18_coarsenings():
@@ -176,15 +189,19 @@ def ks18_coarsenings():
     return build_poset(gens)
 
 
-CASES = [f"float-{seed}" for seed in range(10)] + ["ks18-coarsenings"]
+CASES = [f"float-{seed}" for seed in range(10)] + ["ks18-coarsenings", "ks18"]
 
 
 def case(name):
-    """One of the ten random float posets of the law checks, or the exact
-    ks18 coarsening poset; with a state and a generator for flips."""
-    if name == "ks18-coarsenings":
+    """One of the ten random float posets of the law checks, or an exact ks18
+    poset (its coarsenings, or its bases and their meets, whose rotated map
+    is the reversed map of test_law_checks); with a state and a generator
+    for flips."""
+    if name.startswith("ks18"):
         rho = DensityMatrix.from_diag([Fraction(k, 10) for k in (1, 2, 3, 4)], "exact")
-        return ks18_coarsenings(), rho, make_rng(17)
+        poset = ks18_coarsenings() if name == "ks18-coarsenings" else poset_from_rayset(
+            load_rayset("ks18"))
+        return poset, rho, make_rng(17)
     rng = make_rng(int(name.split("-")[1]) + 700)
     d = int(rng.integers(2, 5))
     return random_poset(rng, d), random_density(rng, d), rng
@@ -197,10 +214,11 @@ def built_or_error(fn, *args):
         return repr(exc)
 
 
-def assert_square_reports_match(table):
+def assert_square_reports_match(table, maps):
     """The functional-composition and naturality reports name the first
-    failing square of the references, and count the same squares. Returns
-    whether each check failed."""
+    failing square of the references, and count the same squares; ``maps``
+    are the projector maps of the table's poset. Returns whether each check
+    failed."""
     poset = table.poset
     _, square = first_failing_square_reference(table, poset.restriction)
     composition = check_valuation(table)["functional_composition"]
@@ -210,8 +228,8 @@ def assert_square_reports_match(table):
         assert composition["counterexample"] == {
             "morphism": [sub, sup], "mask": mask,
             "valuation_of_coarse": sorted(assigned), "pullback": sorted(pulled)}
-    squares, square = first_failing_square_reference(table, projector_restrictions(poset))
-    nat = natural_transformation_check(table)
+    squares, square = first_failing_square_reference(table, maps)
+    nat = natural_transformation_check(table, maps)
     assert nat["ok"] == (square is None) and nat["squares_checked"] == squares
     if square is not None:
         sub, sup, mask, pulled, assigned = square
@@ -225,29 +243,36 @@ def assert_square_reports_match(table):
 @pytest.mark.parametrize("name", CASES)
 def test_tables_and_reports_match_references(name):
     poset, rho, rng = case(name)
+    maps = projector_restrictions(poset)
     bad = rotated_map(poset)  # None on the d = 2 posets, whose maps are all constant
-    assert clopen_iso_check(poset) == clopen_iso_reference(poset)
-    assert clopen_iso_check(poset)["ok"]
+    assert clopen_iso_check(poset, maps) == clopen_iso_reference(poset, maps)
+    assert clopen_iso_check(poset, maps)["ok"]
+    wrong = corrupted(maps, poset)  # None exactly when bad is
+    assert (wrong is None) == (bad is None)
     if bad is not None:
-        assert clopen_iso_check(bad) == clopen_iso_reference(bad)
-        assert not clopen_iso_check(bad)["ok"]
+        assert clopen_iso_check(poset, wrong) == clopen_iso_reference(poset, wrong)
+        assert not clopen_iso_check(poset, wrong)["ok"]
+        assert clopen_iso_check(bad, maps) == clopen_iso_reference(bad, maps)
+        assert not clopen_iso_check(bad, maps)["ok"]
     failures = {"intact": set(), "rotated": set(), "flipped": set()}
     for r in THRESHOLDS:
-        table = valuation_table(rho, poset, r=r)
-        assert table.maps == valuation_table_reference(rho, poset, r).maps
+        tables = presheaf_tables(rho, poset, r)
+        table = valuation_table(tables)
+        assert table.maps == valuation_table_reference(rho, poset, r)
         variants = [("intact", table), ("flipped", flipped(table, rng))]
+        tables_bad = None if bad is None else presheaf_tables(rho, bad, r)
         if bad is not None:
             # on the rotated map a sieve may stop being a lower set; then both raise
-            assert (built_or_error(lambda: valuation_table(rho, bad, r=r).maps)
-                    == built_or_error(lambda: valuation_table_reference(rho, bad, r).maps))
-            variants.append(("rotated", ValuationTable(bad, table.maps, r)))
+            assert (built_or_error(lambda: valuation_table(tables_bad).maps)
+                    == built_or_error(lambda: valuation_table_reference(rho, bad, r)))
+            variants.append(("rotated", ValuationTable(tables_bad, table.maps)))
         for variant, t in variants:
-            composition, naturality = assert_square_reports_match(t)
+            composition, naturality = assert_square_reports_match(t, maps)
             failures[variant] |= {"composition"} if composition else set()
             failures[variant] |= {"naturality"} if naturality else set()
-        family = probability_family(rho, r, poset)
-        for p in (poset, bad) if bad is not None else (poset,):
-            assert check_coarse_subobject(family, p) == coarse_subobject_reference(family, p)
+        family = probability_family(tables)
+        for t in (tables, tables_bad) if bad is not None else (tables,):
+            assert check_coarse_subobject(family, t) == coarse_subobject_reference(family, t.poset)
     # the intact table passes both; the rotated map fails composition only,
     # since the table agrees with the projectors
     assert failures["intact"] == set()
@@ -261,8 +286,9 @@ def test_sieve_and_family_share_truth_tables(name):
     in the probability family there."""
     poset, rho, _ = case(name)
     for r in THRESHOLDS:
-        table = valuation_table(rho, poset, r=r)
-        family = probability_family(rho, r, poset)
+        tables = presheaf_tables(rho, poset, r)
+        table = valuation_table(tables)
+        family = probability_family(tables)
         for cid in poset.ids():
             for m in range(1 << poset.contexts[cid].n_atoms):
                 assert (cid in table.maps[cid][m].members) == (m in family.masks[cid])

@@ -28,6 +28,11 @@ def trace(tmp_path, *argv):
     return json.loads(out.read_text())["counts"]
 
 
+# The presheaf commands take each Born weight once, in one `stage_weights`
+# pass: dim2_two_bases has 5 atoms over its 3 stages.
+ONE_WEIGHTS_PASS = {"linalg.born_probability#calls": 5, "valuations.stage_weights#calls": 1}
+
+
 @pytest.mark.parametrize("argv, layers", [
     (["ks-check"], ["linalg.leq#calls"]),
     (["intervals", "--state", "basis-0"],
@@ -38,3 +43,5 @@ def trace(tmp_path, *argv):
 def test_tracer_sees_hot_layers(tmp_path, argv, layers):
     counts = trace(tmp_path, *argv[:1], "--rays", "dim2_two_bases", *argv[1:])
     assert all(counts.get(name, 0) > 0 for name in layers), counts
+    if argv[0] != "ks-check":
+        assert {name: counts.get(name) for name in ONE_WEIGHTS_PASS} == ONE_WEIGHTS_PASS

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_rng, random_density, random_poset
 
-from qcontexts.coarse import LatticeElement, lattice, top
+from qcontexts.coarse import LatticeElement, lattice, projector_restrictions, top
 from qcontexts.contexts import Context, all_coarsenings, build_poset
 from qcontexts.linalg import DensityMatrix, Projector, ValidationError
 from qcontexts.valuations import (
@@ -15,6 +15,7 @@ from qcontexts.valuations import (
     empty_sieve,
     natural_transformation_check,
     principal_sieve,
+    presheaf_tables,
     pullback,
     state_valuation,
     valuation_table,
@@ -106,10 +107,10 @@ def test_valuation_axioms_random_states_r1():
         d = int(rng.integers(2, 5))
         poset = random_poset(rng, d)
         rho = random_density(rng, d)
-        table = valuation_table(rho, poset, r=1)
+        table = valuation_table(presheaf_tables(rho, poset, 1))
         report = check_valuation(table)
         assert report["ok"], report
-        nat = natural_transformation_check(table)
+        nat = natural_transformation_check(table, projector_restrictions(poset))
         assert nat["ok"], nat
 
 
@@ -119,7 +120,7 @@ def test_threshold_valuations_keep_core_axioms(r):
         rng = make_rng(seed + 500)
         poset = random_poset(rng, 3)
         rho = random_density(rng, 3)
-        table = valuation_table(rho, poset, r=r)
+        table = valuation_table(presheaf_tables(rho, poset, r))
         report = check_valuation(table, require_unit=True)
         assert report["functional_composition"]["ok"]
         assert report["null_proposition"]["ok"]
@@ -132,7 +133,7 @@ def test_exclusivity_fails_below_half():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag(
         [Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)], "exact")
-    table = valuation_table(rho, poset, r=Fraction(3, 10))
+    table = valuation_table(presheaf_tables(rho, poset, Fraction(3, 10)))
     report = check_valuation(table)
     assert not report["exclusivity"]["ok"]
     cx = report["exclusivity"]["counterexample"]
@@ -163,14 +164,14 @@ def test_r_out_of_range_rejected():
     rho = DensityMatrix.maximally_mixed(2, "exact")
     for bad in (0, -0.5, 1.5):
         with pytest.raises(ValidationError):
-            valuation_table(rho, poset, r=bad)
+            presheaf_tables(rho, poset, bad)
 
 
 def test_naturality_check_counts_all_squares():
     _, poset = diag_poset(3)
     rho = DensityMatrix.maximally_mixed(3, "exact")
-    table = valuation_table(rho, poset)
-    nat = natural_transformation_check(table)
+    table = valuation_table(presheaf_tables(rho, poset, 1))
+    nat = natural_transformation_check(table, projector_restrictions(poset))
     expected = sum(
         1 << poset.contexts[sup].n_atoms for _, sup in poset.proper_pairs()
     )
@@ -181,24 +182,24 @@ def test_unit_condition_at_every_stage():
     rng = make_rng(601)
     poset = random_poset(rng, 3)
     rho = random_density(rng, 3)
-    table = valuation_table(rho, poset)
+    table = valuation_table(presheaf_tables(rho, poset, 1))
     for cid in poset.ids():
         assert table.sieve(top(poset.contexts[cid])) == principal_sieve(poset, cid)
 
 
 def test_null_failure_does_not_hide_unit_failures():
     poset = random_poset(make_rng(1), 3)
-    table = valuation_table(DensityMatrix.maximally_mixed(3, "float"), poset)
+    table = valuation_table(presheaf_tables(DensityMatrix.maximally_mixed(3, "float"), poset, 1))
     ids = poset.ids()
     first, last = ids[0], ids[-1]
     maps = {cid: dict(stage_map) for cid, stage_map in table.maps.items()}
     maps[first][0] = Sieve(first, frozenset({first}))
     maps[last][(1 << poset.contexts[last].n_atoms) - 1] = empty_sieve(last)
-    report = check_valuation(ValuationTable(poset, maps, r=table.r))
+    report = check_valuation(ValuationTable(table.tables, maps))
     assert report["null_proposition"] == {"ok": False, "counterexample": {"stage": first}}
     assert report["unit_proposition"] == {
         "ok": False, "counterexample": {"stage": last, "sieve": []}, "checked": True}
     # with two stages failing unit, the first is reported
     maps[ids[1]][(1 << poset.contexts[ids[1]].n_atoms) - 1] = empty_sieve(ids[1])
-    report = check_valuation(ValuationTable(poset, maps, r=table.r))
+    report = check_valuation(ValuationTable(table.tables, maps))
     assert report["unit_proposition"]["counterexample"]["stage"] == ids[1]
