@@ -10,10 +10,12 @@ checks, and ideal-induced valuations from a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
+from operator import mul
 
 from .coarse import LatticeElement, image_mask, lattice, lattice_covers
 from .contexts import Context, ContextPoset
-from .linalg import ValidationError, get_eps
+from .linalg import ValidationError, _scaled_float_ray, get_eps
 from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair, principal_sieve
 from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
@@ -280,18 +282,20 @@ def ideal_valuation(psi, poset: ContextPoset) -> IntervalAssignment:
 
 def largest_annihilating_mask(psi, v: Context) -> int:
     """Bitmask of atoms annihilating the nonzero vector (the ideal's top
-    projector). Float vectors are normalized before the ``sqrt(eps)`` test."""
+    projector). Float vectors are normalized before the ``sqrt(eps)`` test,
+    after division by their largest part, so that no scale is too small or
+    too large."""
     if v.backend == "float":
-        import numpy as np
-
-        vec = np.array(psi, dtype=complex)
-        n = float(np.vdot(vec, vec).real)
-        if n <= get_eps():
+        ray = _scaled_float_ray(psi)
+        if ray is None:
             raise ValidationError("zero vector")
-        vec = vec / np.sqrt(n)
+        re, im, n = ray
+        norm = sqrt(n)
+        re = [x / norm for x in re]
+        im = [y / norm for y in im]
         mask = 0
         for i, atom in enumerate(v.atoms):
-            if np.linalg.norm(atom.matrix.data @ vec) <= np.sqrt(get_eps()):
+            if _float_image_norm(atom.matrix.data, re, im, v.dim) <= sqrt(get_eps()):
                 mask |= 1 << i
         return mask
     from .scalars import EC_ZERO, exact_entry
@@ -308,3 +312,19 @@ def largest_annihilating_mask(psi, v: Context) -> int:
         if all(x.is_zero() for x in image):
             mask |= 1 << i
     return mask
+
+
+def _float_image_norm(data, re, im, dim: int) -> float:
+    """||A v|| for float operator data A and the vector with parts re, im."""
+    n = dim * dim
+    a_re, a_im = data[:n], data[n:]
+    total = 0.0
+    for k in range(0, n, dim):
+        row = a_re[k:k + dim]
+        y_re, y_im = sum(map(mul, row, re)), sum(map(mul, row, im))
+        if a_im:
+            row = a_im[k:k + dim]
+            y_re -= sum(map(mul, row, im))
+            y_im += sum(map(mul, row, re))
+        total += y_re * y_re + y_im * y_im
+    return sqrt(total)

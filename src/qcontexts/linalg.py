@@ -2,16 +2,18 @@
 
 Hermitian operators, canonical projectors, density matrices, spectral
 decomposition, functional calculus and Born probabilities. The float backend
-delegates eigenproblems to numpy; the exact backend works over Q(sqrt(2))
-and verifies every decomposition by exact reconstruction. numpy is imported
-on first float use, so exact work never loads it.
+works on flat tuples of Python floats and calls numpy only for eigen- and
+singular-value problems, importing it inside those functions; the exact
+backend works over Q(sqrt(2)) and verifies every decomposition by exact
+reconstruction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import repeat
+from math import copysign, hypot, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .scalars import (
@@ -33,30 +35,69 @@ class ValidationError(ValueError):
     """Raised when an input violates a structural precondition."""
 
 
-class _LazyNumpy:
-    """Stands in for ``np`` in a module's globals until the first attribute
-    is read. Then it imports numpy and puts the module in its own place, so
-    that later float calls look ``np`` up directly."""
-
-    __slots__ = ("_namespace",)
-
-    def __init__(self, namespace: dict):
-        self._namespace = namespace
-
-    def __getattr__(self, attr):
-        import numpy
-
-        self._namespace["np"] = numpy
-        return getattr(numpy, attr)
-
-
-np = _LazyNumpy(globals())
-
-
 # ---------------------------------------------------------------------------
-# internal matrix helpers (exact backend stores tuple-of-tuples of
-# ExactComplex; float backend stores numpy complex128 arrays)
+# internal matrix helpers. The exact backend stores a tuple of rows of
+# ExactComplex. The float backend stores the shape of the exact integer
+# form: one flat tuple of Python floats holding the real parts of the
+# entries, row-major, followed by their imaginary parts unless all of those
+# are +0.0.
 # ---------------------------------------------------------------------------
+
+
+def _pack(re, im):
+    """Float data from real and imaginary parts. The imaginary parts are
+    dropped when every one is +0.0; a -0.0 keeps them, so that ``to_json``
+    keeps its sign."""
+    im = tuple(im)
+    if any(im) or -1.0 in map(copysign, repeat(1.0), im):
+        return tuple(re) + im
+    return tuple(re)
+
+
+def _float_combine(op, a, b, n: int):
+    """Entrywise ``op`` (add or sub) of two float data of n entries."""
+    if len(a) == len(b) == n:
+        return tuple(map(op, a, b))
+    zeros = (0.0,) * n
+    return _pack(map(op, a[:n], b[:n]), map(op, a[n:] or zeros, b[n:] or zeros))
+
+
+def _within(values, tol: float) -> bool:
+    """Whether every value is at most tol; a NaN is not."""
+    return all(map(tol.__ge__, values))
+
+
+def _float_small(data, n: int, tol: float) -> bool:
+    """Whether every entry has modulus at most tol."""
+    re, im = data[:n], data[n:]
+    return _within(map(hypot, re, im) if im else map(abs, re), tol)
+
+
+def _transpose(x, d: int) -> list:
+    """The transpose of a flat row-major d x d part."""
+    return [y for j in range(d) for y in x[j::d]]
+
+
+def _float_matmul(a, b, d: int):
+    n = d * d
+
+    def product(x, y):
+        rows = [x[i:i + d] for i in range(0, n, d)]
+        cols = [y[j:n:d] for j in range(d)]
+        return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+    ar, ai, br, bi = a[:n], a[n:], b[:n], b[n:]
+    re = product(ar, br)
+    if not (ai or bi):
+        return tuple(re)
+    im = [0.0] * n
+    if ai and bi:
+        re = map(sub, re, product(ai, bi))
+    if ai:
+        im = product(ai, br)
+    if bi:
+        im = map(add, im, product(ar, bi))
+    return _pack(re, im)
 
 
 def _exact_matmul(a, b, dim):
@@ -92,10 +133,6 @@ def _exact_zero(dim):
     return tuple(tuple(EC_ZERO for _ in range(dim)) for _ in range(dim))
 
 
-def _exact_to_complex(a, dim):
-    return np.array([[complex(a[i][j]) for j in range(dim)] for i in range(dim)])
-
-
 class HermitianOperator:
     """A dim x dim Hermitian matrix on one of the two scalar backends."""
 
@@ -121,7 +158,8 @@ class HermitianOperator:
         if any(len(r) != dim for r in rows):
             raise ValidationError("matrix must be square")
         if backend == "float":
-            data = np.array(rows, dtype=complex)
+            entries = [complex(x) for r in rows for x in r]
+            data = _pack([z.real for z in entries], [z.imag for z in entries])
         else:
             data = tuple(tuple(exact_entry(x) for x in r) for r in rows)
         return cls(dim, data, backend, validate=validate)
@@ -130,7 +168,9 @@ class HermitianOperator:
     def diag(cls, values: Sequence, backend: str = "float"):
         dim = len(values)
         if backend == "float":
-            return cls(dim, np.diag(np.array(values, dtype=float)).astype(complex), backend)
+            data = [0.0] * (dim * dim)
+            data[::dim + 1] = [float(x) for x in values]
+            return cls(dim, tuple(data), backend)
         rows = [
             [exact_entry(values[i]) if i == j else EC_ZERO for j in range(dim)]
             for i in range(dim)
@@ -140,21 +180,29 @@ class HermitianOperator:
     @classmethod
     def identity(cls, dim: int, backend: str = "float"):
         if backend == "float":
-            return cls(dim, np.eye(dim, dtype=complex), backend, validate=False)
+            data = [0.0] * (dim * dim)
+            data[::dim + 1] = [1.0] * dim
+            return cls(dim, tuple(data), backend, validate=False)
         return cls(dim, _exact_eye(dim), backend, validate=False)
 
     @classmethod
     def zero(cls, dim: int, backend: str = "float"):
         if backend == "float":
-            return cls(dim, np.zeros((dim, dim), dtype=complex), backend, validate=False)
+            return cls(dim, (0.0,) * (dim * dim), backend, validate=False)
         return cls(dim, _exact_zero(dim), backend, validate=False)
 
     # -- structure ---------------------------------------------------------
 
     def _is_hermitian(self) -> bool:
-        if self.backend == "float":
-            return bool(np.all(np.abs(self.data - self.data.conj().T) <= get_eps()))
         d = self.dim
+        if self.backend == "float":
+            # A - A* entry by entry: real parts A - A^T, imaginary A + A^T
+            n = d * d
+            re, im = self.data[:n], self.data[n:]
+            re_diff = map(sub, re, _transpose(re, d))
+            if not im:
+                return _within(map(abs, re_diff), get_eps())
+            return _within(map(hypot, re_diff, map(add, im, _transpose(im, d))), get_eps())
         return all(
             self.data[i][j] == self.data[j][i].conj()
             for i in range(d)
@@ -173,14 +221,24 @@ class HermitianOperator:
             form = self._ints = _exact_integer_form(self.data)
         return form
 
-    def to_complex_array(self) -> np.ndarray:
-        if self.backend == "float":
-            return np.array(self.data, copy=True)
-        return _exact_to_complex(self.data, self.dim)
+    def to_complex_array(self):
+        """The matrix as a numpy complex array; imports numpy."""
+        import numpy as np
+
+        d = self.dim
+        if self.backend == "exact":
+            return np.array([[complex(x) for x in row] for row in self.data])
+        n = d * d
+        out = np.array(self.data[:n], dtype=complex).reshape(d, d)
+        if len(self.data) > n:
+            out.imag = np.array(self.data[n:]).reshape(d, d)
+        return out
 
     def trace(self):
         if self.backend == "float":
-            return complex(np.trace(self.data))
+            d, n = self.dim, self.dim ** 2
+            im = self.data[n:]
+            return complex(sum(self.data[:n:d + 1]), sum(im[::d + 1]) if im else 0.0)
         return sum((self.data[i][i] for i in range(self.dim)), EC_ZERO)
 
     def real_trace(self):
@@ -200,7 +258,8 @@ class HermitianOperator:
     def __matmul__(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check(other)
         if self.backend == "float":
-            return HermitianOperator(self.dim, self.data @ other.data, "float", validate=False)
+            return HermitianOperator(self.dim, _float_matmul(self.data, other.data, self.dim),
+                                     "float", validate=False)
         return HermitianOperator(
             self.dim, _exact_matmul(self.data, other.data, self.dim), "exact", validate=False
         )
@@ -208,7 +267,9 @@ class HermitianOperator:
     def __add__(self, other):
         self._check(other)
         if self.backend == "float":
-            return HermitianOperator(self.dim, self.data + other.data, "float", validate=False)
+            return HermitianOperator(self.dim, _float_combine(add, self.data, other.data,
+                                                              self.dim ** 2),
+                                     "float", validate=False)
         return HermitianOperator(
             self.dim, _exact_add(self.data, other.data, self.dim), "exact", validate=False
         )
@@ -216,14 +277,18 @@ class HermitianOperator:
     def __sub__(self, other):
         self._check(other)
         if self.backend == "float":
-            return HermitianOperator(self.dim, self.data - other.data, "float", validate=False)
+            return HermitianOperator(self.dim, _float_combine(sub, self.data, other.data,
+                                                              self.dim ** 2),
+                                     "float", validate=False)
         return HermitianOperator(
             self.dim, _exact_sub(self.data, other.data, self.dim), "exact", validate=False
         )
 
     def scale(self, s):
         if self.backend == "float":
-            return HermitianOperator(self.dim, self.data * complex(s), "float", validate=False)
+            s = float(s)
+            return HermitianOperator(self.dim, tuple(x * s for x in self.data), "float",
+                                     validate=False)
         return HermitianOperator(
             self.dim, _exact_scale(self.data, s, self.dim), "exact", validate=False
         )
@@ -231,13 +296,15 @@ class HermitianOperator:
     def close_to(self, other: "HermitianOperator") -> bool:
         self._check(other)
         if self.backend == "float":
-            return bool(np.all(np.abs(self.data - other.data) <= 10 * get_eps()))
+            n = self.dim ** 2
+            return _float_small(_float_combine(sub, self.data, other.data, n), n,
+                                10 * get_eps())
         d = self.dim
         return all(self.data[i][j] == other.data[i][j] for i in range(d) for j in range(d))
 
     def is_zero(self) -> bool:
         if self.backend == "float":
-            return bool(np.all(np.abs(self.data) <= 10 * get_eps()))
+            return _float_small(self.data, self.dim ** 2, 10 * get_eps())
         return all(x.is_zero() for row in self.data for x in row)
 
     def commutes_with(self, other: "HermitianOperator") -> bool:
@@ -246,13 +313,16 @@ class HermitianOperator:
     # -- serialization (row-major complex arrays) ---------------------------
 
     def to_json(self) -> dict:
+        d = self.dim
         if self.backend == "float":
-            re = [[float(x) for x in row] for row in self.data.real]
-            im = [[float(x) for x in row] for row in self.data.imag]
+            n = d * d
+            imag = self.data[n:] or (0.0,) * n
+            re = [list(self.data[k:k + d]) for k in range(0, n, d)]
+            im = [list(imag[k:k + d]) for k in range(0, n, d)]
         else:
             re = [[float(x.re) for x in row] for row in self.data]
             im = [[float(x.im) for x in row] for row in self.data]
-        return {"dim": self.dim, "re": re, "im": im}
+        return {"dim": d, "re": re, "im": im}
 
     @classmethod
     def from_json(cls, obj: dict, backend: str = "float"):
@@ -261,19 +331,29 @@ class HermitianOperator:
         dim = obj.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValidationError("operator JSON needs an integer dim")
-        try:
-            re = np.array(obj.get("re"), dtype=float)
-            im = np.array(obj.get("im"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"operator JSON entries are not numbers: {exc}") from None
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValidationError("operator JSON has wrong shape")
+        re = _json_entries(obj.get("re"), dim)
+        im = _json_entries(obj.get("im"), dim)
         if backend != "float":
             raise BackendError("operator JSON deserializes to the float backend")
-        return cls(dim, re + 1j * im, "float")
+        return cls(dim, _pack(re, im), "float")
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, backend={self.backend!r})"
+
+
+def _json_entries(rows, dim: int) -> list:
+    """The entries of a dim x dim JSON matrix, row-major, as floats. Only
+    JSON numbers are entries: booleans, strings and nulls are not."""
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(r, list) and len(r) == dim for r in rows)):
+        raise ValidationError("operator JSON has wrong shape")
+    flat = [x for r in rows for x in r]
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValidationError("operator JSON entries are not numbers")
+    try:
+        return list(map(float, flat))
+    except OverflowError:
+        raise ValidationError("operator JSON entry is too large for a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +361,14 @@ class HermitianOperator:
 # ---------------------------------------------------------------------------
 
 
-def _float_canonical_key(arr: np.ndarray):
+def _float_canonical_key(data, n: int):
     # the projection matrix is a canonical invariant of its range; round so
-    # that subspace equality gives key equality at desk scale
-    r = np.round(arr, 6) + 0.0  # normalize -0.0
-    return tuple((float(x.real), float(x.imag)) for x in r.flatten())
+    # that subspace equality gives key equality at desk scale. Like
+    # np.round(x, 6) + 0.0 this is rint(x * 1e6) / 1e6 in doubles with -0.0
+    # cleared: round() returns an int, and a zero int divides to +0.0
+    re = [round(x * 1e6) / 1e6 for x in data[:n]]
+    im = [round(y * 1e6) / 1e6 for y in data[n:]] or [0.0] * n
+    return tuple(zip(re, im))
 
 
 class Projector:
@@ -314,7 +397,7 @@ class Projector:
             r = int(t.a)
         self.rank = r
         if matrix.backend == "float":
-            self._key = _float_canonical_key(matrix.data)
+            self._key = _float_canonical_key(matrix.data, matrix.dim ** 2)
         else:
             self._key = tuple(x.key() for row in matrix.data for x in row)
 
@@ -344,11 +427,15 @@ class Projector:
     def from_ray(cls, vec, backend: str = "float"):
         """Rank-1 projector v v* / <v, v>; the ray need not be normalized."""
         if backend == "float":
-            v = np.array(vec, dtype=complex)
-            n = float(np.vdot(v, v).real)
-            if n <= get_eps():
+            ray = _scaled_float_ray(vec)
+            if ray is None:
                 raise ValidationError("zero ray")
-            return cls(HermitianOperator(len(v), np.outer(v, v.conj()) / n, "float", validate=False))
+            re, im, n = ray
+            # v_i conj(v_j) = (a + ib)(c - ie)
+            pairs = [(a, b, c, e) for a, b in zip(re, im) for c, e in zip(re, im)]
+            data = _pack([(a * c + b * e) / n for a, b, c, e in pairs],
+                         [(b * c - a * e) / n for a, b, c, e in pairs])
+            return cls(HermitianOperator(len(re), data, "float", validate=False))
         m, n = _ray_ints(vec)
         _check_idempotent_ints(m, n)
         data = tuple(
@@ -365,10 +452,12 @@ class Projector:
         1e-10 * max(1, largest), so dependent vectors keep the whole span;
         Gram-Schmidt on the exact one."""
         if backend == "float":
+            import numpy as np
+
             v = np.array(vecs, dtype=complex).T
             u, sigma, _ = np.linalg.svd(v, full_matrices=False)
             q = u[:, sigma > 1e-10 * max(1.0, float(sigma.max(initial=0.0)))]
-            return cls(HermitianOperator(v.shape[0], q @ q.conj().T, "float", validate=False))
+            return cls(HermitianOperator.from_entries((q @ q.conj().T).tolist(), validate=False))
         basis = _exact_gram_schmidt([[exact_entry(x) for x in v] for v in vecs])
         dim = len(vecs[0])
         acc = _exact_zero(dim)
@@ -447,6 +536,20 @@ def _scaled_ints(fracs, d):
     return tuple(out)
 
 
+def _scaled_float_ray(vec):
+    """``(re, im, n)``: the parts of a float ray divided by its largest
+    absolute part, and the squared norm n of the result, which lies in
+    [1, 2 dim]. None for the zero ray. Scaling first keeps tiny and huge
+    rays from underflowing or overflowing <v, v>."""
+    entries = [complex(x) for x in vec]
+    top = max((max(abs(z.real), abs(z.imag)) for z in entries), default=0.0)
+    if top == 0:
+        return None
+    re = [z.real / top for z in entries]
+    im = [z.imag / top for z in entries]
+    return re, im, sum(x * x for x in re) + sum(y * y for y in im)
+
+
 # Exact ray projectors are built over Z[sqrt(2)][i]: an element
 # (a + b sqrt(2)) + i (c + e sqrt(2)) is the int 4-tuple (a, b, c, e).
 
@@ -507,11 +610,13 @@ def _exact_trace_parts(a: HermitianOperator, b: HermitianOperator):
 
 
 def _product_trace(a: HermitianOperator, b: HermitianOperator):
-    """tr(AB) without forming the product, for Hermitian B: the dot product
-    sum_ij A_ij conj(B_ij). A complex number on the float backend; its real
-    part, a QSqrt2, on the exact one."""
+    """tr(AB) without forming the product, for Hermitian B: the real part of
+    the dot product sum_ij A_ij conj(B_ij), a float or a QSqrt2. On the float
+    backend it is sum(a_r b_r + a_i b_i) over the flat data; ``map`` stops at
+    the shorter tuple, where dropped imaginary parts would add only zeros."""
     if a.backend == "float":
-        return complex(np.vdot(b.data, a.data))
+        a._check(b)
+        return sum(map(mul, a.data, b.data))
     r, s, d = _exact_trace_parts(a, b)
     return QSqrt2(Fraction(r, d), Fraction(s, d))
 
@@ -571,7 +676,9 @@ class DensityMatrix:
             psd = _exact_is_psd(matrix.data, matrix.dim)
         else:
             trace_one = abs(matrix.real_trace() - 1.0) <= 1e-7
-            psd = np.linalg.eigvalsh(matrix.data).min() >= -1e-7
+            import numpy as np
+
+            psd = np.linalg.eigvalsh(matrix.to_complex_array()).min() >= -1e-7
         if not trace_one:
             raise ValidationError("density matrix trace is not 1")
         if not psd:
@@ -598,7 +705,7 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int, backend: str = "float"):
         if backend == "float":
-            return cls(HermitianOperator(dim, np.eye(dim, dtype=complex) / dim, "float", validate=False), validate=False)
+            return cls(HermitianOperator.identity(dim, "float").scale(1 / dim), validate=False)
         s = ExactComplex(Fraction(1, dim))
         return cls(
             HermitianOperator(dim, _exact_scale(_exact_eye(dim), s, dim), "exact", validate=False),
@@ -633,8 +740,10 @@ def spectral_decompose(a: HermitianOperator):
 
 
 def _spectral_float(a: HermitianOperator):
+    import numpy as np
+
     eps = get_eps()
-    w, u = np.linalg.eigh(a.data)
+    w, u = np.linalg.eigh(a.to_complex_array())
     out = []
     i = 0
     n = a.dim
@@ -643,15 +752,17 @@ def _spectral_float(a: HermitianOperator):
         while j + 1 < n and w[j + 1] - w[i] <= eps:
             j += 1
         cols = u[:, i : j + 1]
-        p = Projector(HermitianOperator(n, cols @ cols.conj().T, "float", validate=False))
+        p = Projector(HermitianOperator.from_entries((cols @ cols.conj().T).tolist(),
+                                                     validate=False))
         out.append((float(np.mean(w[i : j + 1])), p))
         i = j + 1
     return out
 
 
 def _spectral_exact(a: HermitianOperator):
-    shadow = _exact_to_complex(a.data, a.dim)
-    w = np.linalg.eigvalsh(shadow)
+    import numpy as np
+
+    w = np.linalg.eigvalsh(a.to_complex_array())
     # cluster the numeric hints
     hints = []
     for x in w:
@@ -757,10 +868,10 @@ def apply_function(a: HermitianOperator, f: EigenvalueFunction) -> HermitianOper
     """Functional calculus: sum of f(eigenvalue) times eigenprojector."""
     decomp = spectral_decompose(a)
     if a.backend == "float":
-        acc = np.zeros((a.dim, a.dim), dtype=complex)
+        acc = HermitianOperator.zero(a.dim)
         for lam, p in decomp:
-            acc = acc + float(f.at(lam, "float")) * p.matrix.data
-        return HermitianOperator(a.dim, acc, "float", validate=False)
+            acc = acc + p.matrix.scale(float(f.at(lam, "float")))
+        return acc
     acc = _exact_zero(a.dim)
     for lam, p in decomp:
         val = f.at(lam, "exact")

@@ -5,11 +5,38 @@ coarsenings and rotated variants sharing columns, so the resulting posets
 have nontrivial meets.
 """
 
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from qcontexts.contexts import Context, build_poset
 from qcontexts.linalg import DensityMatrix, HermitianOperator, Projector
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def float_workload(seed: int, workdir: str):
+    """The poset file and the pure-state spec of the ``presheaf-float``
+    benchmark workload: a d = 5 poset of 163 contexts, written to workdir."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    bases, psi = workloads.float_inputs(seed)
+    argv = workloads.float_operations(bases, psi, workdir)[0].argv
+    return argv[argv.index("--poset") + 1], argv[argv.index("--state") + 1]
+
+
+def float_poset_json(seed: int, workdir: str) -> dict:
+    """The poset file of the ``presheaf-float`` benchmark workload."""
+    path, _ = float_workload(seed, workdir)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -66,7 +93,7 @@ def random_density(rng, d: int) -> DensityMatrix:
     u = random_unitary(rng, d)
     m = (u * w) @ u.conj().T
     m = (m + m.conj().T) / 2
-    return DensityMatrix(HermitianOperator(d, m.astype(complex), "float"))
+    return DensityMatrix(HermitianOperator.from_entries(m.astype(complex), "float"))
 
 
 def random_pure(rng, d: int) -> np.ndarray:

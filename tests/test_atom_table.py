@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import float_poset_json
 from poset_reference import reference_build_poset
 from qcontexts import cli, contexts, ks
 from qcontexts.contexts import Context, ContextPoset, build_poset, poset_to_json_str
@@ -86,19 +87,6 @@ def test_integer_ray_posets_match_reference(obj, pairs, coarsenings):
         with reference_builder():
             ref = load(path, pairs, coarsenings)
     assert_same_poset(new, ref)
-
-
-def float_poset_json(seed: int, workdir: str) -> dict:
-    """The poset file of the ``presheaf-float`` benchmark workload."""
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    bases, psi = workloads.float_inputs(seed)
-    workloads.float_operations(bases, psi, workdir)
-    with open(os.path.join(workdir, "float_poset.json")) as fh:
-        return json.load(fh)
 
 
 def closest_float_call(poset: ContextPoset) -> float:

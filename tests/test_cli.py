@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import float_workload
+
 from qcontexts.cli import main
 from qcontexts.scalars import get_eps
 
@@ -141,6 +143,25 @@ def test_state_too_large_for_floats_exits_2(tmp_path, capsys):
     code, out = run(capsys, "valuate", "--poset", str(poset), "--state", "vec:1e400,1")
     assert code == 2
     assert out.count("\n") == 1 and "too large" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("scaled, unit", [
+    ("vec:1e-5,0,0,0,0", "vec:1,0,0,0,0"),
+    ("vec:1e200,1e200,0,0,0", "vec:1,1,0,0,0"),
+])
+def test_tiny_and_huge_float_rays_give_the_unit_ray_reports(tmp_path, capsys, scaled, unit):
+    # <v, v> underflows below eps for the first ray and overflows for the
+    # second; the ray is scaled by its largest entry first
+    path, _ = float_workload(501, str(tmp_path))
+    for command in ("valuate", "intervals"):
+        reports = []
+        for state in (scaled, unit):
+            code, out = run(capsys, command, "--poset", path, "--state", state)
+            report = json.loads(out)
+            assert code in (0, 1) and "error" not in report
+            assert report["config"].pop("state") == state
+            reports.append((code, report))
+        assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "0", "inf"])
@@ -336,7 +357,19 @@ def test_any_ray_file_gives_exit_0_1_or_2(obj, command):
     {"dim": None, "contexts": []},
     {"dim": 2, "contexts": [{"atoms": [{"dim": 2, "re": [[1, {}], [0, 1]],
                                         "im": [[0, 0], [0, 0]]}]}]},
-], ids=["top-level-list", "contexts-number", "atoms-number", "null-dim", "object-entry"])
+    # a string and a boolean that read as 1 and 0 would make a valid context
+    {"dim": 2, "contexts": [{"atoms": [
+        {"dim": 2, "re": [["1", 0], [0, False]], "im": [[0, 0], [0, 0]]},
+        {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}]},
+    {"dim": 2, "contexts": [{"atoms": [
+        {"dim": 2, "re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}]},
+    {"dim": 2, "contexts": [{"atoms": [
+        {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, None]]},
+        {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}]},
+    {"dim": 1, "contexts": [{"atoms": [{"dim": 1, "re": [[10 ** 400]], "im": [[0]]}]}]},
+], ids=["top-level-list", "contexts-number", "atoms-number", "null-dim", "object-entry",
+        "string-and-bool-entries", "bool-entry", "null-entry", "overflow-entry"])
 def test_malformed_poset_exits_2_with_one_error(tmp_path, capsys, poset):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(poset))

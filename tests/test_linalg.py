@@ -27,6 +27,57 @@ def test_hermitian_validation():
     HermitianOperator.from_entries([[0, 1], [1, 0]], "exact")
 
 
+def _old_to_json(arr):
+    """Float to_json as it was computed from a numpy array."""
+    return {"dim": arr.shape[0], "re": [[float(x) for x in row] for row in arr.real],
+            "im": [[float(x) for x in row] for row in arr.imag]}
+
+
+def _random_float_matrix(rng, d, kind):
+    """A d x d complex array: real, complex, real with -0.0 imaginary
+    parts, or real with some entries exactly zero (signed)."""
+    m = rng.standard_normal((d, d))
+    if kind == "complex":
+        return m + 1j * rng.standard_normal((d, d))
+    if kind == "signed-zero-imag":
+        return m + 1j * np.where(rng.random((d, d)) < 0.5, -0.0, 0.0)
+    if kind == "zeros":
+        return np.where(rng.random((d, d)) < 0.5, np.copysign(0.0, m), m).astype(complex)
+    return m.astype(complex)
+
+
+def test_float_operations_match_numpy():
+    """The flat-tuple float operators against the numpy arrays they
+    replaced: entrywise results bit for bit, products and traces to
+    rounding, decisions exactly."""
+    rng = make_rng(12)
+    tol = 10 * get_eps()
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        kinds = rng.choice(["real", "complex", "signed-zero-imag", "zeros"], size=2)
+        x, y = (_random_float_matrix(rng, d, k) for k in kinds)
+        a = HermitianOperator.from_entries(x, "float", validate=False)
+        b = HermitianOperator.from_entries(y, "float", validate=False)
+        assert a.to_complex_array().tobytes() == x.tobytes()
+        assert repr(a.to_json()) == repr(_old_to_json(x))
+        assert repr((a + b).to_json()) == repr(_old_to_json(x + y))
+        assert repr((a - b).to_json()) == repr(_old_to_json(x - y))
+        assert np.allclose((a @ b).to_complex_array(), x @ y, atol=1e-12)
+        assert np.allclose(a.scale(-1.5).to_complex_array(), x * -1.5, atol=0)
+        assert abs(a.trace() - np.trace(x)) <= 1e-12
+        h = (x + x.conj().T) / 2
+        assert HermitianOperator.from_entries(h, "float")._is_hermitian()
+        step = rng.choice([0.5, 2.0]) * rng.choice([1, 1j]) * get_eps()
+        near = h + step * np.eye(d, k=min(1, d - 1))
+        assert HermitianOperator.from_entries(near, "float", validate=False)._is_hermitian() == (
+            bool(np.all(np.abs(near - near.conj().T) <= get_eps())))
+        shifted = x + rng.choice([0.5, 2.0]) * tol
+        c = HermitianOperator.from_entries(shifted, "float", validate=False)
+        assert c.close_to(a) == bool(np.all(np.abs(shifted - x) <= tol))
+        assert a.is_zero() == bool(np.all(np.abs(x) <= tol))
+        assert (a - a).is_zero()
+
+
 def test_mixed_backend_rejected():
     a = HermitianOperator.identity(2, "float")
     b = HermitianOperator.identity(2, "exact")
@@ -73,7 +124,7 @@ def test_float_from_span_matches_exact_on_dependent_spans():
         exact = Projector.from_span(vecs, "exact")
         flt = Projector.from_span(vecs, "float")
         assert flt.rank == exact.rank
-        assert np.allclose(flt.matrix.data, exact.matrix.to_complex_array(), atol=1e-9)
+        assert np.allclose(flt.matrix.to_complex_array(), exact.matrix.to_complex_array(), atol=1e-9)
 
 
 def test_projector_order_and_orthogonality():
@@ -95,11 +146,11 @@ def test_spectral_decompose_float_random():
     for d in (2, 3, 4, 5):
         u = random_unitary(rng, d)
         w = np.sort(rng.standard_normal(d))
-        a = HermitianOperator(d, (u * w) @ u.conj().T, "float", validate=False)
+        a = HermitianOperator.from_entries((u * w) @ u.conj().T, "float", validate=False)
         decomp = spectral_decompose(a)
-        recon = sum(lam * p.matrix.data for lam, p in decomp)
-        total = sum(p.matrix.data for _, p in decomp)
-        assert np.allclose(recon, a.data, atol=1e-8)
+        recon = sum(lam * p.matrix.to_complex_array() for lam, p in decomp)
+        total = sum(p.matrix.to_complex_array() for _, p in decomp)
+        assert np.allclose(recon, a.to_complex_array(), atol=1e-8)
         assert np.allclose(total, np.eye(d), atol=1e-8)
 
 
@@ -133,7 +184,7 @@ def test_apply_function_square():
     a = HermitianOperator.diag([-1, 0, 2], "float")
     f = EigenvalueFunction({-1: 1, 0: 0, 2: 4})
     b = apply_function(a, f)
-    assert np.allclose(b.data, np.diag([1, 0, 4]).astype(complex))
+    assert np.allclose(b.to_complex_array(), np.diag([1, 0, 4]).astype(complex))
 
 
 def test_density_validation():

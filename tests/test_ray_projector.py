@@ -4,7 +4,8 @@ On the exact backend `Projector.from_ray` scales the ray to w over
 Z[sqrt 2][i] and forms P = M / N in integers (`linalg._ray_ints`), with
 idempotency decided as M M == N M. It is checked here against the
 `ExactComplex` formula v v* / <v, v> it replaced, kept below as the
-reference. Exact CLI commands never import numpy; float ones still do.
+reference. CLI commands never import numpy, on either backend, unless they
+read a density-matrix file or a `diag:` state.
 """
 
 import json
@@ -16,6 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import float_workload
 
 from qcontexts import linalg
 from qcontexts.linalg import (
@@ -140,16 +143,32 @@ codes.append(main(["build-poset", "--rays", "dim2_two_bases", "--output", "dim2.
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
     assert _python(code, tmp_path) == {"codes": [0] * 7, "numpy": False}
-    with open(tmp_path / "dim2.json") as fh:
+
+
+def test_float_poset_commands_do_not_import_numpy(tmp_path):
+    # a d = 3 poset with entries such as 1/3 and 1/sqrt(2) read back as
+    # floats, and the d = 5 benchmark poset of generic floats
+    from qcontexts.cli import main
+
+    assert main(["build-poset", "--rays", "peres33", "--pairs",
+                 "--output", str(tmp_path / "peres.json")]) == 0
+    with open(tmp_path / "peres.json") as fh:
         poset = json.load(fh)["poset"]
-    with open(tmp_path / "poset.json", "w") as fh:
+    with open(tmp_path / "peres_poset.json", "w") as fh:
         json.dump(poset, fh)
-    code = """
+    path, psi = float_workload(501, str(tmp_path))
+    runs = [[cmd, "--poset", "peres_poset.json", "--state", state]
+            for cmd in ("verify-axioms", "valuate", "intervals")
+            for state in ("vec:1,1,0", "basis-1", "maximally-mixed")]
+    runs += [[cmd, "--poset", path, "--state", state]
+             for cmd in ("verify-axioms", "valuate", "intervals")
+             for state in (psi, "basis-2", "maximally-mixed")]
+    runs += [[cmd, "--poset", f] for cmd in ("build-poset", "ks-check")
+             for f in ("peres_poset.json", path)]
+    code = f"""
 import json, sys
 from qcontexts.cli import main
-code = main(["valuate", "--poset", "poset.json", "--state", "basis-0", "--output", "v.json"])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+codes = [main(argv + ["--output", "out.json"]) for argv in {runs!r}]
+print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
 """
-    assert _python(code, tmp_path) == {"code": 0, "numpy": True}
-    with open(tmp_path / "v.json") as fh:
-        assert json.load(fh)["ok"] is True
+    assert _python(code, tmp_path) == {"codes": [0] * len(runs), "numpy": False}

@@ -3,9 +3,10 @@
 Reports embed their config and use sorted keys, so a refactor of the
 presheaf layers that keeps every verdict, count and counterexample keeps
 each report's bytes. The digests below were taken before the presheaf
-tables were shared across each command's checks. The `--poset` runs cover
-the float backend; the poset file sits at a fixed relative path, because
-the config embeds it.
+tables were shared across each command's checks, and the last two before
+float operators became flat tuples of Python floats. The `--poset` runs
+cover the float backend, `build-poset --poset` its `to_json`; the poset file
+sits at a fixed relative path, because the config embeds it.
 """
 
 import hashlib
@@ -28,6 +29,10 @@ REPORTS = [
      "8221c3679f07b7e62d7800f7144bb4aac164ecad031dcab71f078eba64a70795"),
     (["intervals", "--poset", POSET],
      "ec403422e2da67dac8e730f18d7b182608e6268e6d8b5e5d1dddd46593ed886d"),
+    (["build-poset", "--poset", POSET],
+     "6110cc3d4a14609a3c1ff8433d0ad12726deb0d3f346140f9b67d3327c8d36c7"),
+    (["valuate", "--poset", POSET],
+     "c83cfaee141680a2f192fb1c225dae28491bb06a6823fe2e887be89054f21c5d"),
 ]
 
 

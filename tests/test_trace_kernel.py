@@ -2,8 +2,9 @@
 
 tr(AB), `orthogonal_to`, `leq`, Born weights and meets are computed from a
 dot product of the entries of A and B: over integer forms of the matrices
-on the exact backend, with `np.vdot` on the float one. Each is checked here
-against the full-matrix computation, over Q(sqrt 2) and in floating point.
+on the exact backend, over flat tuples of Python floats on the float one.
+Each is checked here against the full-matrix computation, over Q(sqrt 2) and
+in floating point, and the float keys and decisions against numpy's.
 The exact positive-semidefiniteness test of density matrices is checked
 against numpy's eigenvalues.
 """
@@ -16,18 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_poset_json
+
 from qcontexts import ks
-from qcontexts.contexts import Context, all_coarsenings, meet
+from qcontexts.contexts import Context, ContextPoset, all_coarsenings, meet
 from qcontexts.linalg import (
     DensityMatrix,
     HermitianOperator,
     Projector,
     ValidationError,
     _exact_is_psd,
+    _float_canonical_key,
     _product_trace,
     born_probability,
 )
-from qcontexts.scalars import EC_ZERO, ExactComplex, QSqrt2
+from qcontexts.scalars import EC_ZERO, ExactComplex, QSqrt2, get_eps
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 reals = st.builds(QSqrt2, rationals, rationals)
@@ -167,7 +171,7 @@ def test_exact_states_are_validated_exactly():
 
 def _float_hermitian(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(dim, z + z.conj().T, "float")
+    return HermitianOperator.from_entries(z + z.conj().T, "float")
 
 
 def float_projector_pair(seed):
@@ -207,9 +211,64 @@ def test_float_product_trace_matches_numpy(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 6))
     a, b = _float_hermitian(rng, dim), _float_hermitian(rng, dim)
-    assert abs(_product_trace(a, b) - np.trace(a.data @ b.data)) <= 1e-12
+    assert abs(_product_trace(a, b) - np.trace(a.to_complex_array() @ b.to_complex_array())) <= 1e-12
     _, p, q = float_projector_pair(seed)
-    assert abs(_product_trace(p.matrix, q.matrix) - np.trace(p.matrix.data @ q.matrix.data)) <= 1e-12
+    assert abs(_product_trace(p.matrix, q.matrix)
+               - np.trace(p.matrix.to_complex_array() @ q.matrix.to_complex_array())) <= 1e-12
+
+
+def numpy_key(m: HermitianOperator):
+    """The float canonical key as numpy computed it: np.round(arr, 6) + 0.0,
+    as (real, imaginary) pairs."""
+    r = np.round(m.to_complex_array(), 6) + 0.0
+    return tuple((float(x.real), float(x.imag)) for x in r.flatten())
+
+
+TIES = [0.5e-6, -0.5e-6, 2.5e-6, -2.5e-6, 1.5e-6, -1.5e-6, -0.0, 0.0,
+        0.4999995, -0.4999995, 0.1234565, 1e-7, 3.5e-6, -3.5e-6, 1.0, -0.25]
+
+
+def test_float_keys_match_numpy_rounding_on_ties():
+    # repr, not ==, because -0.0 == 0.0 but context ids hash the key's repr
+    complex_rows = [[complex(TIES[4 * i + j], TIES[(5 * i + 3 * j) % 16]) for j in range(4)]
+                    for i in range(4)]
+    real_rows = [[TIES[4 * i + j] for j in range(4)] for i in range(4)]
+    signed_zero_rows = [[complex(x, -0.0) for x in row] for row in real_rows]
+    for rows in (complex_rows, real_rows, signed_zero_rows):
+        m = HermitianOperator.from_entries(rows, "float", validate=False)
+        assert repr(_float_canonical_key(m.data, 16)) == repr(numpy_key(m))
+    assert len(HermitianOperator.from_entries(signed_zero_rows, "float", validate=False).data) == 32
+
+
+def test_float_keys_and_decisions_match_numpy_on_benchmark_posets(tmp_path):
+    """Keys, sums and complements bit for bit, and every orthogonal_to and
+    leq decision, against numpy on the atoms of the presheaf-float posets."""
+    tol = 10 * get_eps()
+    accepted, rejected = 0.0, float("inf")
+    for seed in range(501, 511):
+        poset = ContextPoset.from_json(float_poset_json(seed, str(tmp_path)))
+        for v in poset.contexts.values():
+            arrays = [a.matrix.to_complex_array() for a in v.atoms]
+            for a, arr in zip(v.atoms, arrays):
+                assert repr(a.canonical_key) == repr(numpy_key(a.matrix))
+                assert a.complement().matrix.to_complex_array().tobytes() == (
+                    np.eye(v.dim, dtype=complex) - arr).tobytes()
+            total = v.atoms[0].matrix + v.atoms[-1].matrix
+            assert total.to_complex_array().tobytes() == (arrays[0] + arrays[-1]).tobytes()
+        atoms = list({a.canonical_key: a for v in poset.contexts.values()
+                      for a in v.atoms}.values())
+        arrays = [a.matrix.to_complex_array() for a in atoms]
+        for p, pa in zip(atoms, arrays):
+            for q, qa in zip(atoms, arrays):
+                t_numpy = complex(np.vdot(qa, pa))
+                t = _product_trace(p.matrix, q.matrix)
+                for k, decided in ((0, p.orthogonal_to(q)), (p.rank, p.leq(q))):
+                    assert decided == (abs(t_numpy - k) <= tol), (seed, k)
+                    if decided:
+                        accepted = max(accepted, abs(t - k))
+                    else:
+                        rejected = min(rejected, abs(t - k))
+    print(f"largest accepted |tr - k| {accepted:.2g}, smallest rejected {rejected:.2g}")
 
 
 def full_matrix_meet(v1: Context, v2: Context) -> Context:
