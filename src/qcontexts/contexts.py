@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,6 +21,7 @@ from .linalg import (
     HermitianOperator,
     Projector,
     ValidationError,
+    _json_operator,
     _product_trace,
     born_probability,
     get_eps,
@@ -57,7 +59,7 @@ class Context:
         self.atoms = tuple(atoms)
         h = hashlib.sha256()
         for a in self.atoms:
-            h.update(repr(a.canonical_key).encode())
+            h.update(a.key_bytes)
         self.id = h.hexdigest()[:16]
 
     @classmethod
@@ -383,10 +385,17 @@ class ContextPoset:
         if not isinstance(obj.get("contexts"), list):
             raise ValidationError("poset JSON needs a contexts array")
         gens = []
+        built = {}  # bit-exact float data -> projector, so -0.0 is not 0.0
         for c in obj["contexts"]:
             if not (isinstance(c, dict) and isinstance(c.get("atoms"), list)):
                 raise ValidationError("each poset context needs an atoms array")
-            atoms = [Projector.from_matrix(HermitianOperator.from_json(a)) for a in c["atoms"]]
+            atoms = []
+            for a in c["atoms"]:
+                op_dim, data = _json_operator(a)
+                key = struct.pack(f"{len(data)}d", *data)
+                if key not in built:
+                    built[key] = Projector.from_matrix(HermitianOperator(op_dim, data, "float"))
+                atoms.append(built[key])
             if atoms and atoms[0].dim != dim:
                 raise ValidationError("context dimension disagrees with poset dimension")
             gens.append(Context(atoms))

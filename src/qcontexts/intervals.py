@@ -305,10 +305,8 @@ def largest_annihilating_mask(psi, v: Context) -> int:
         raise ValidationError("zero vector")
     mask = 0
     for i, atom in enumerate(v.atoms):
-        image = [
-            sum((atom.matrix.data[r][c] * vec[c] for c in range(v.dim)), EC_ZERO)
-            for r in range(v.dim)
-        ]
+        rows = atom.matrix.entries()
+        image = [sum((row[c] * vec[c] for c in range(v.dim)), EC_ZERO) for row in rows]
         if all(x.is_zero() for x in image):
             mask |= 1 << i
     return mask

@@ -11,8 +11,8 @@ reconstruction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import copysign, hypot, lcm
+from itertools import repeat, zip_longest
+from math import copysign, gcd, hypot, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -36,9 +36,11 @@ class ValidationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# internal matrix helpers. The exact backend stores a tuple of rows of
-# ExactComplex. The float backend stores the shape of the exact integer
-# form: one flat tuple of Python floats holding the real parts of the
+# internal matrix helpers. The exact backend stores its integer form
+# ``(D, p, q)``: every entry is ``(p_k + q_k sqrt(2)) / D``, where ``p`` and
+# ``q`` are integer tuples over the real parts of the entries, row-major,
+# followed by their imaginary parts. The float backend stores the same
+# shape: one flat tuple of Python floats holding the real parts of the
 # entries, row-major, followed by their imaginary parts unless all of those
 # are +0.0.
 # ---------------------------------------------------------------------------
@@ -100,43 +102,69 @@ def _float_matmul(a, b, d: int):
     return _pack(re, im)
 
 
-def _exact_matmul(a, b, dim):
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(dim)), EC_ZERO)
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+def _exact_form(d: int, p, q):
+    """The integer form of the entries (p_k + q_k sqrt(2)) / d, d > 0:
+    divided by the gcd of d and every part, trailing zeros dropped. It is
+    unique, so two operators are equal exactly when their forms are."""
+    g = gcd(d, *p, *q)
+    return d // g, _stripped(x // g for x in p), _stripped(x // g for x in q)
 
 
-def _exact_add(a, b, dim):
-    return tuple(tuple(a[i][j] + b[i][j] for j in range(dim)) for i in range(dim))
+def _stripped(xs) -> tuple:
+    out = list(xs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
-def _exact_sub(a, b, dim):
-    return tuple(tuple(a[i][j] - b[i][j] for j in range(dim)) for i in range(dim))
+def _zi_ints(entries):
+    """``(d, w)``: ExactComplex entries as Z[sqrt(2)][i] 4-tuples w over their
+    common denominator d (see ``_zi_mul``)."""
+    parts = [(x.re.a, x.re.b, x.im.a, x.im.b) for x in entries]
+    d = lcm(*(f.denominator for part in parts for f in part))
+    return d, [tuple(f.numerator * (d // f.denominator) for f in part) for part in parts]
 
 
-def _exact_scale(a, s, dim):
-    s = s if isinstance(s, ExactComplex) else ExactComplex(s)
-    return tuple(tuple(a[i][j] * s for j in range(dim)) for i in range(dim))
+def _zi_entries(form, n: int) -> list:
+    """The n entries of an integer form as Z[sqrt(2)][i] 4-tuples over its
+    denominator (see ``_zi_mul``)."""
+    _, p, q = form
+    p, q = p + (0,) * (2 * n - len(p)), q + (0,) * (2 * n - len(q))
+    return list(zip(p[:n], q[:n], p[n:], q[n:]))
 
 
-def _exact_eye(dim):
-    return tuple(
-        tuple(EC_ONE if i == j else EC_ZERO for j in range(dim)) for i in range(dim)
-    )
+def _zi_form(d: int, entries):
+    """The integer form of Z[sqrt(2)][i] 4-tuples over the denominator d."""
+    a, b, c, e = zip(*entries) if entries else [()] * 4
+    return _exact_form(d, a + c, b + e)
 
 
-def _exact_zero(dim):
-    return tuple(tuple(EC_ZERO for _ in range(dim)) for _ in range(dim))
+def _exact_combine(op, a, b):
+    """Entrywise ``op`` (add or sub) of two integer forms, over the lcm of
+    their denominators."""
+    (da, pa, qa), (db, pb, qb) = a, b
+    d = lcm(da, db)
+    ka, kb = d // da, d // db
+    return _exact_form(d, [op(ka * x, kb * y) for x, y in zip_longest(pa, pb, fillvalue=0)],
+                       [op(ka * x, kb * y) for x, y in zip_longest(qa, qb, fillvalue=0)])
+
+
+def _exact_matmul(a, b, dim: int):
+    n = dim * dim
+    x, y = _zi_entries(a, n), _zi_entries(b, n)
+    cols = [y[j::dim] for j in range(dim)]
+    prod = [tuple(map(sum, zip(*map(_zi_mul, x[i:i + dim], c))))
+            for i in range(0, n, dim) for c in cols]
+    return _zi_form(a[0] * b[0], prod)
 
 
 class HermitianOperator:
-    """A dim x dim Hermitian matrix on one of the two scalar backends."""
+    """A dim x dim Hermitian matrix on one of the two scalar backends.
 
-    __slots__ = ("dim", "backend", "data", "_ints")
+    ``data`` is the backend's representation (see above); ``from_entries``
+    builds an operator from rows of entries."""
+
+    __slots__ = ("dim", "backend", "data")
 
     def __init__(self, dim: int, data, backend: str, validate: bool = True):
         if dim <= 0:
@@ -146,7 +174,6 @@ class HermitianOperator:
         self.dim = dim
         self.backend = backend
         self.data = data
-        self._ints = None
         if validate and not self._is_hermitian():
             raise ValidationError("matrix is not Hermitian")
 
@@ -161,7 +188,7 @@ class HermitianOperator:
             entries = [complex(x) for r in rows for x in r]
             data = _pack([z.real for z in entries], [z.imag for z in entries])
         else:
-            data = tuple(tuple(exact_entry(x) for x in r) for r in rows)
+            data = _zi_form(*_zi_ints(exact_entry(x) for r in rows for x in r))
         return cls(dim, data, backend, validate=validate)
 
     @classmethod
@@ -171,11 +198,8 @@ class HermitianOperator:
             data = [0.0] * (dim * dim)
             data[::dim + 1] = [float(x) for x in values]
             return cls(dim, tuple(data), backend)
-        rows = [
-            [exact_entry(values[i]) if i == j else EC_ZERO for j in range(dim)]
-            for i in range(dim)
-        ]
-        return cls(dim, tuple(tuple(r) for r in rows), backend)
+        return cls.from_entries([[values[i] if i == j else 0 for j in range(dim)]
+                                 for i in range(dim)], backend)
 
     @classmethod
     def identity(cls, dim: int, backend: str = "float"):
@@ -183,43 +207,36 @@ class HermitianOperator:
             data = [0.0] * (dim * dim)
             data[::dim + 1] = [1.0] * dim
             return cls(dim, tuple(data), backend, validate=False)
-        return cls(dim, _exact_eye(dim), backend, validate=False)
+        return cls(dim, (1, (1,) + ((0,) * dim + (1,)) * (dim - 1), ()), backend, validate=False)
 
     @classmethod
     def zero(cls, dim: int, backend: str = "float"):
         if backend == "float":
             return cls(dim, (0.0,) * (dim * dim), backend, validate=False)
-        return cls(dim, _exact_zero(dim), backend, validate=False)
+        return cls(dim, (1, (), ()), backend, validate=False)
 
     # -- structure ---------------------------------------------------------
 
     def _is_hermitian(self) -> bool:
-        d = self.dim
+        d, n = self.dim, self.dim ** 2
         if self.backend == "float":
             # A - A* entry by entry: real parts A - A^T, imaginary A + A^T
-            n = d * d
             re, im = self.data[:n], self.data[n:]
             re_diff = map(sub, re, _transpose(re, d))
             if not im:
                 return _within(map(abs, re_diff), get_eps())
             return _within(map(hypot, re_diff, map(add, im, _transpose(im, d))), get_eps())
-        return all(
-            self.data[i][j] == self.data[j][i].conj()
-            for i in range(d)
-            for j in range(i, d)
-        )
+        x = _zi_entries(self.data, n)
+        return x == [(a, b, -c, -e) for a, b, c, e in _transpose(x, d)]
 
-    def _integer_form(self):
-        """``(D, p, q)``: every entry is ``(p_k + q_k sqrt(2)) / D``, exact backend.
-
-        ``p`` and ``q`` are integer tuples over the real parts of the entries,
-        row-major, followed by their imaginary parts; trailing zeros are
-        dropped. Computed once and cached.
-        """
-        form = self._ints
-        if form is None:
-            form = self._ints = _exact_integer_form(self.data)
-        return form
+    def entries(self):
+        """The exact entries as rows of ExactComplex, built from the integer
+        form for the code that needs field arithmetic."""
+        d, den = self.dim, self.data[0]
+        flat = [ExactComplex(QSqrt2(Fraction(a, den), Fraction(b, den)),
+                             QSqrt2(Fraction(c, den), Fraction(e, den)))
+                for a, b, c, e in _zi_entries(self.data, d * d)]
+        return tuple(tuple(flat[k:k + d]) for k in range(0, d * d, d))
 
     def to_complex_array(self):
         """The matrix as a numpy complex array; imports numpy."""
@@ -227,7 +244,7 @@ class HermitianOperator:
 
         d = self.dim
         if self.backend == "exact":
-            return np.array([[complex(x) for x in row] for row in self.data])
+            return np.array([[complex(x) for x in row] for row in self.entries()])
         n = d * d
         out = np.array(self.data[:n], dtype=complex).reshape(d, d)
         if len(self.data) > n:
@@ -235,17 +252,18 @@ class HermitianOperator:
         return out
 
     def trace(self):
+        d, n = self.dim, self.dim ** 2
         if self.backend == "float":
-            d, n = self.dim, self.dim ** 2
             im = self.data[n:]
             return complex(sum(self.data[:n:d + 1]), sum(im[::d + 1]) if im else 0.0)
-        return sum((self.data[i][i] for i in range(self.dim)), EC_ZERO)
+        den, p, q = self.data
+        re, im = slice(0, n, d + 1), slice(n, None, d + 1)
+        return ExactComplex(QSqrt2(Fraction(sum(p[re]), den), Fraction(sum(q[re]), den)),
+                            QSqrt2(Fraction(sum(p[im]), den), Fraction(sum(q[im]), den)))
 
     def real_trace(self):
         t = self.trace()
-        if self.backend == "float":
-            return t.real
-        return t.re
+        return t.real if self.backend == "float" else t.re
 
     # -- arithmetic (results are not re-validated as Hermitian) -------------
 
@@ -257,41 +275,34 @@ class HermitianOperator:
 
     def __matmul__(self, other: "HermitianOperator") -> "HermitianOperator":
         self._check(other)
-        if self.backend == "float":
-            return HermitianOperator(self.dim, _float_matmul(self.data, other.data, self.dim),
-                                     "float", validate=False)
-        return HermitianOperator(
-            self.dim, _exact_matmul(self.data, other.data, self.dim), "exact", validate=False
-        )
+        matmul = _float_matmul if self.backend == "float" else _exact_matmul
+        return HermitianOperator(self.dim, matmul(self.data, other.data, self.dim),
+                                 self.backend, validate=False)
 
     def __add__(self, other):
-        self._check(other)
-        if self.backend == "float":
-            return HermitianOperator(self.dim, _float_combine(add, self.data, other.data,
-                                                              self.dim ** 2),
-                                     "float", validate=False)
-        return HermitianOperator(
-            self.dim, _exact_add(self.data, other.data, self.dim), "exact", validate=False
-        )
+        return self._combine(add, other)
 
     def __sub__(self, other):
+        return self._combine(sub, other)
+
+    def _combine(self, op, other):
         self._check(other)
         if self.backend == "float":
-            return HermitianOperator(self.dim, _float_combine(sub, self.data, other.data,
-                                                              self.dim ** 2),
-                                     "float", validate=False)
-        return HermitianOperator(
-            self.dim, _exact_sub(self.data, other.data, self.dim), "exact", validate=False
-        )
+            data = _float_combine(op, self.data, other.data, self.dim ** 2)
+        else:
+            data = _exact_combine(op, self.data, other.data)
+        return HermitianOperator(self.dim, data, self.backend, validate=False)
 
     def scale(self, s):
+        """The operator times a real scalar: a float, or an element of Q(sqrt(2))."""
         if self.backend == "float":
             s = float(s)
             return HermitianOperator(self.dim, tuple(x * s for x in self.data), "float",
                                      validate=False)
-        return HermitianOperator(
-            self.dim, _exact_scale(self.data, s, self.dim), "exact", validate=False
-        )
+        d, (w,) = _zi_ints([ExactComplex(s)])
+        form = _zi_form(self.data[0] * d,
+                        [_zi_mul(x, w) for x in _zi_entries(self.data, self.dim ** 2)])
+        return HermitianOperator(self.dim, form, "exact", validate=False)
 
     def close_to(self, other: "HermitianOperator") -> bool:
         self._check(other)
@@ -299,13 +310,12 @@ class HermitianOperator:
             n = self.dim ** 2
             return _float_small(_float_combine(sub, self.data, other.data, n), n,
                                 10 * get_eps())
-        d = self.dim
-        return all(self.data[i][j] == other.data[i][j] for i in range(d) for j in range(d))
+        return self.data == other.data
 
     def is_zero(self) -> bool:
         if self.backend == "float":
             return _float_small(self.data, self.dim ** 2, 10 * get_eps())
-        return all(x.is_zero() for row in self.data for x in row)
+        return not (self.data[1] or self.data[2])
 
     def commutes_with(self, other: "HermitianOperator") -> bool:
         return (self @ other).close_to(other @ self)
@@ -320,25 +330,30 @@ class HermitianOperator:
             re = [list(self.data[k:k + d]) for k in range(0, n, d)]
             im = [list(imag[k:k + d]) for k in range(0, n, d)]
         else:
-            re = [[float(x.re) for x in row] for row in self.data]
-            im = [[float(x.im) for x in row] for row in self.data]
+            rows = self.entries()
+            re = [[float(x.re) for x in row] for row in rows]
+            im = [[float(x.im) for x in row] for row in rows]
         return {"dim": d, "re": re, "im": im}
 
     @classmethod
     def from_json(cls, obj: dict, backend: str = "float"):
-        if not isinstance(obj, dict):
-            raise ValidationError("operator JSON must be an object")
-        dim = obj.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValidationError("operator JSON needs an integer dim")
-        re = _json_entries(obj.get("re"), dim)
-        im = _json_entries(obj.get("im"), dim)
+        dim, data = _json_operator(obj)
         if backend != "float":
             raise BackendError("operator JSON deserializes to the float backend")
-        return cls(dim, _pack(re, im), "float")
+        return cls(dim, data, "float")
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, backend={self.backend!r})"
+
+
+def _json_operator(obj):
+    """``(dim, data)`` of operator JSON, type-checked, as float data."""
+    if not isinstance(obj, dict):
+        raise ValidationError("operator JSON must be an object")
+    dim = obj.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValidationError("operator JSON needs an integer dim")
+    return dim, _pack(_json_entries(obj.get("re"), dim), _json_entries(obj.get("im"), dim))
 
 
 def _json_entries(rows, dim: int) -> list:
@@ -379,27 +394,29 @@ class Projector:
     matrices agree entrywise (exactly, or within the float tolerance).
     """
 
-    __slots__ = ("matrix", "rank", "_key")
+    __slots__ = ("matrix", "rank", "_key", "key_bytes")
 
     def __init__(self, matrix: HermitianOperator, validate: bool = True):
         self.matrix = matrix
         if validate:
             if not (matrix @ matrix).close_to(matrix):
                 raise ValidationError("matrix is not idempotent")
-        t = matrix.real_trace()
+        d, n = matrix.dim, matrix.dim ** 2
         if matrix.backend == "float":
-            r = round(float(t))
-            if abs(float(t) - r) > 1e-6:
+            t = matrix.real_trace()
+            r = round(t)
+            if abs(t - r) > 1e-6:
                 raise ValidationError("projector trace is not an integer")
+            self._key = _float_canonical_key(matrix.data, n)
         else:
-            if not isinstance(t, QSqrt2) or t.b != 0 or t.a.denominator != 1:
+            den, p, q = matrix.data
+            r, rest = divmod(sum(p[:n:d + 1]), den)
+            if rest or sum(q[:n:d + 1]):
                 raise ValidationError("projector trace is not an integer")
-            r = int(t.a)
+            self._key = _exact_key(matrix.data, n)
         self.rank = r
-        if matrix.backend == "float":
-            self._key = _float_canonical_key(matrix.data, matrix.dim ** 2)
-        else:
-            self._key = tuple(x.key() for row in matrix.data for x in row)
+        # what a context id hashes for this atom
+        self.key_bytes = repr(self._key).encode()
 
     @property
     def dim(self) -> int:
@@ -438,12 +455,8 @@ class Projector:
             return cls(HermitianOperator(len(re), data, "float", validate=False))
         m, n = _ray_ints(vec)
         _check_idempotent_ints(m, n)
-        data = tuple(
-            tuple(ExactComplex(QSqrt2(Fraction(a, n), Fraction(b, n)),
-                               QSqrt2(Fraction(c, n), Fraction(e, n))) for a, b, c, e in row)
-            for row in m
-        )
-        return cls(HermitianOperator(len(m), data, "exact", validate=False), validate=False)
+        form = _zi_form(n, [x for row in m for x in row])
+        return cls(HermitianOperator(len(m), form, "exact", validate=False), validate=False)
 
     @classmethod
     def from_span(cls, vecs, backend: str = "float"):
@@ -460,12 +473,13 @@ class Projector:
             return cls(HermitianOperator.from_entries((q @ q.conj().T).tolist(), validate=False))
         basis = _exact_gram_schmidt([[exact_entry(x) for x in v] for v in vecs])
         dim = len(vecs[0])
-        acc = _exact_zero(dim)
+        acc = HermitianOperator.zero(dim, "exact")
         for v in basis:
             n = sum((x.conj() * x for x in v), EC_ZERO)
-            p = tuple(tuple(v[i] * v[j].conj() / n for j in range(dim)) for i in range(dim))
-            acc = _exact_add(acc, p, dim)
-        return cls(HermitianOperator(dim, acc, "exact", validate=False))
+            acc = acc + HermitianOperator.from_entries(
+                [[v[i] * v[j].conj() / n for j in range(dim)] for i in range(dim)], "exact",
+                validate=False)
+        return cls(acc)
 
     @classmethod
     def from_matrix(cls, op: HermitianOperator):
@@ -521,19 +535,12 @@ def _trace_is(p: Projector, q: Projector, k: int) -> bool:
     return abs(_product_trace(p.matrix, q.matrix) - k) <= 10 * get_eps()
 
 
-def _exact_integer_form(data):
-    entries = [x for row in data for x in row]
-    rat = [x.re.a for x in entries] + [x.im.a for x in entries]
-    irr = [x.re.b for x in entries] + [x.im.b for x in entries]
-    d = lcm(*(f.denominator for f in rat), *(f.denominator for f in irr))
-    return d, _scaled_ints(rat, d), _scaled_ints(irr, d)
-
-
-def _scaled_ints(fracs, d):
-    out = [f.numerator * (d // f.denominator) for f in fracs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _exact_key(form, n: int):
+    """``ExactComplex.key()`` of each entry, read from the integer form: the
+    reduced numerator and denominator of its four rational parts."""
+    den, p, q = form
+    part = {x: (x // g, den // g) for x in {0, *p, *q} for g in (gcd(x, den),)}
+    return tuple(part[a] + part[b] + part[c] + part[e] for a, b, c, e in _zi_entries(form, n))
 
 
 def _scaled_float_ray(vec):
@@ -572,9 +579,7 @@ def _ray_ints(vec):
     conjugate w' of w, and w' != 0. So M = w w* (A - B sqrt(2)), a matrix
     of 4-tuples.
     """
-    parts = [(x.re.a, x.re.b, x.im.a, x.im.b) for x in map(exact_entry, vec)]
-    den = lcm(*(f.denominator for part in parts for f in part))
-    w = [tuple(f.numerator * (den // f.denominator) for f in part) for part in parts]
+    _, w = _zi_ints(map(exact_entry, vec))
     big_a = sum(a * a + 2 * b * b + c * c + 2 * e * e for a, b, c, e in w)
     if big_a == 0:
         raise ValidationError("zero ray")
@@ -602,8 +607,8 @@ def _exact_trace_parts(a: HermitianOperator, b: HermitianOperator):
     the dropped trailing zeros would have been.
     """
     a._check(b)
-    da, pa, qa = a._integer_form()
-    db, pb, qb = b._integer_form()
+    da, pa, qa = a.data
+    db, pb, qb = b.data
     r = sum(map(mul, pa, pb)) + 2 * sum(map(mul, qa, qb))
     s = sum(map(mul, pa, qb)) + sum(map(mul, qa, pb))
     return r, s, da * db
@@ -673,7 +678,7 @@ class DensityMatrix:
             return
         if matrix.backend == "exact":
             trace_one = matrix.trace() == 1
-            psd = _exact_is_psd(matrix.data, matrix.dim)
+            psd = _exact_is_psd(matrix.entries(), matrix.dim)
         else:
             trace_one = abs(matrix.real_trace() - 1.0) <= 1e-7
             import numpy as np
@@ -704,13 +709,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int, backend: str = "float"):
-        if backend == "float":
-            return cls(HermitianOperator.identity(dim, "float").scale(1 / dim), validate=False)
-        s = ExactComplex(Fraction(1, dim))
-        return cls(
-            HermitianOperator(dim, _exact_scale(_exact_eye(dim), s, dim), "exact", validate=False),
-            validate=False,
-        )
+        s = 1 / dim if backend == "float" else Fraction(1, dim)
+        return cls(HermitianOperator.identity(dim, backend).scale(s), validate=False)
 
     def to_json(self) -> dict:
         return self.matrix.to_json()
@@ -777,21 +777,19 @@ def _spectral_exact(a: HermitianOperator):
                 "use the float backend for this operator"
             )
         eigs.append(lam)
-    eye = _exact_eye(a.dim)
+    eye = HermitianOperator.identity(a.dim, "exact")
     out = []
     for lam in sorted(set(eigs)):
-        shifted = _exact_sub(a.data, _exact_scale(eye, ExactComplex(lam), a.dim), a.dim)
-        kernel = _exact_nullspace(shifted, a.dim)
+        kernel = _exact_nullspace((a - eye.scale(lam)).entries(), a.dim)
         if not kernel:
             raise BackendError("numeric eigenvalue hint failed exact verification")
         out.append((lam, Projector.from_span(kernel, "exact")))
     # exact verification: completeness and reconstruction
-    total = _exact_zero(a.dim)
-    recon = _exact_zero(a.dim)
+    total = recon = HermitianOperator.zero(a.dim, "exact")
     for lam, p in out:
-        total = _exact_add(total, p.matrix.data, a.dim)
-        recon = _exact_add(recon, _exact_scale(p.matrix.data, ExactComplex(lam), a.dim), a.dim)
-    if total != eye or recon != a.data:
+        total = total + p.matrix
+        recon = recon + p.matrix.scale(lam)
+    if not (total.close_to(eye) and recon.close_to(a)):
         raise BackendError("exact spectral decomposition failed verification")
     return out
 
@@ -866,18 +864,13 @@ class EigenvalueFunction:
 
 def apply_function(a: HermitianOperator, f: EigenvalueFunction) -> HermitianOperator:
     """Functional calculus: sum of f(eigenvalue) times eigenprojector."""
-    decomp = spectral_decompose(a)
-    if a.backend == "float":
-        acc = HermitianOperator.zero(a.dim)
-        for lam, p in decomp:
-            acc = acc + p.matrix.scale(float(f.at(lam, "float")))
-        return acc
-    acc = _exact_zero(a.dim)
-    for lam, p in decomp:
-        val = f.at(lam, "exact")
-        val_q = val if isinstance(val, QSqrt2) else QSqrt2(as_int_or_fraction(val))
-        acc = _exact_add(acc, _exact_scale(p.matrix.data, ExactComplex(val_q), a.dim), a.dim)
-    return HermitianOperator(a.dim, acc, "exact", validate=False)
+    acc = HermitianOperator.zero(a.dim, a.backend)
+    for lam, p in spectral_decompose(a):
+        val = f.at(lam, a.backend)
+        if a.backend == "exact" and not isinstance(val, QSqrt2):
+            val = as_int_or_fraction(val)
+        acc = acc + p.matrix.scale(val)
+    return acc
 
 
 def as_int_or_fraction(x):

@@ -134,6 +134,35 @@ def test_from_json_decides_each_atom_pair_once(tmp_path, monkeypatch):
     assert 0 < len(calls) <= n * (n + 1) // 2
 
 
+def test_from_json_builds_each_distinct_atom_once(tmp_path, monkeypatch):
+    """Atoms are shared by their bit-exact float data: 604 atoms in the
+    seed-501 file, 103 distinct, spanning 79 subspaces. A -0.0 makes an
+    atom distinct, so that `to_json` gives back the sign it read."""
+    obj = float_poset_json(501, str(tmp_path))
+    built = []
+    from_matrix = Projector.from_matrix.__func__
+
+    def counting(cls, op):
+        built.append(op)
+        return from_matrix(cls, op)
+
+    monkeypatch.setattr(Projector, "from_matrix", classmethod(counting))
+    poset = ContextPoset.from_json(obj)
+    atoms = [a for c in obj["contexts"] for a in c["atoms"]]
+    distinct = {repr([[float(x) for x in row] for row in a["re"] + a["im"]]) for a in atoms}
+    assert (len(atoms), len(distinct), len(built)) == (604, 103, 103)
+    assert len({a.canonical_key for v in poset.contexts.values() for a in v.atoms}) == 79
+    # the second context has the first one's id and replaces it
+    first = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+    second = {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    signed = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, -0.0], [0, 0]]}
+    poset = ContextPoset.from_json({"dim": 2, "contexts": [{"atoms": [first, second]},
+                                                           {"atoms": [signed, second]}]})
+    assert len(built) == 106 and len(poset) == 2
+    (v,) = [v for v in poset.contexts.values() if v.n_atoms == 2]
+    assert repr(v.atoms[1].to_json()["im"]) == "[[0.0, -0.0], [0.0, 0.0]]"
+
+
 def test_all_coarsenings_is_bounded():
     eye = [[int(i == j) for j in range(8)] for i in range(8)]
     v = Context([Projector.from_ray(r, "float") for r in eye])

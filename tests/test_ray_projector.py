@@ -43,7 +43,7 @@ def reference_from_ray(vec) -> Projector:
         raise ValidationError("zero ray")
     dim = len(v)
     data = tuple(tuple(v[i] * v[j].conj() / n for j in range(dim)) for i in range(dim))
-    return Projector(HermitianOperator(dim, data, "exact", validate=False))
+    return Projector(HermitianOperator.from_entries(data, "exact", validate=False))
 
 
 ints = st.integers(-9, 9)

@@ -3,10 +3,15 @@
 Reports embed their config and use sorted keys, so a refactor of the
 presheaf layers that keeps every verdict, count and counterexample keeps
 each report's bytes. The digests below were taken before the presheaf
-tables were shared across each command's checks, and the last two before
-float operators became flat tuples of Python floats. The `--poset` runs
-cover the float backend, `build-poset --poset` its `to_json`; the poset file
-sits at a fixed relative path, because the config embeds it.
+tables were shared across each command's checks, the next two before
+float operators became flat tuples of Python floats, and the last three
+before exact operators became their integer form. The `--poset` runs cover
+the float backend, `build-poset --poset` its `to_json`, and `build-poset
+--rays ks18 --coarsenings` the exact `to_json` of merged atoms. The poset
+files sit at fixed relative paths, because the config embeds them. In
+SIGNED_ZERO an atom is written once with 0.0 and once with -0.0, and the
+second context, with the same id as the first, replaces it: its -0.0
+entries must reach the report.
 """
 
 import hashlib
@@ -17,6 +22,15 @@ import pytest
 from qcontexts.cli import main
 
 POSET = "peres33_pairs_poset.json"
+SIGNED_ZERO = "signed_zero_poset.json"
+SIGNED_ZERO_JSON = {"dim": 2, "contexts": [
+    {"atoms": [{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+               {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]},
+    {"atoms": [{"dim": 2, "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0], [0, 0]]},
+               {"dim": 2, "re": [[0.5, -0.5], [-0.5, 0.5]], "im": [[0, 0], [0, 0]]}]},
+    {"atoms": [{"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+               {"dim": 2, "re": [[1, -0.0], [0, 0]], "im": [[0, -0.0], [0.0, 0]]}]},
+]}
 
 REPORTS = [
     (["verify-axioms", "--rays", "peres33", "--pairs", "--state", "vec:1,1,0"],
@@ -33,6 +47,12 @@ REPORTS = [
      "6110cc3d4a14609a3c1ff8433d0ad12726deb0d3f346140f9b67d3327c8d36c7"),
     (["valuate", "--poset", POSET],
      "c83cfaee141680a2f192fb1c225dae28491bb06a6823fe2e887be89054f21c5d"),
+    (["ks-check", "--rays", "peres33", "--pairs"],
+     "6d2016cf89ab5ae9840764d81c40fd429ee5552e79f09cf433b3438851738b4c"),
+    (["build-poset", "--rays", "ks18", "--coarsenings"],
+     "ff55f50aa08384399f006ee7bcf7e18411e8b982843655469f788e0497455de0"),
+    (["build-poset", "--poset", SIGNED_ZERO],
+     "3e72e1b44b3fb39bb79a4ff9ff6d1d626f2002e0b7919c4070e13366b53665a8"),
 ]
 
 
@@ -41,13 +61,18 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv, digest", REPORTS, ids=[" ".join(a[:2]) for a, _ in REPORTS])
+def report_id(argv):
+    return " ".join(argv[:3] if SIGNED_ZERO in argv else argv[:2])
+
+
+@pytest.mark.parametrize("argv, digest", REPORTS, ids=[report_id(a) for a, _ in REPORTS])
 def test_default_report_bytes(tmp_path, capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(tmp_path)
     if POSET in argv:
         code, out = run(capsys, ["build-poset", "--rays", "peres33", "--pairs"])
         assert code == 0
         (tmp_path / POSET).write_text(json.dumps(json.loads(out)["poset"]))
+    (tmp_path / SIGNED_ZERO).write_text(json.dumps(SIGNED_ZERO_JSON))
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -51,7 +51,7 @@ def hermitian(draw, dim):
         for j in range(i + 1, dim):
             x = ExactComplex(draw(reals), draw(reals))
             rows[i][j], rows[j][i] = x, x.conj()
-    return HermitianOperator(dim, tuple(tuple(r) for r in rows), "exact")
+    return HermitianOperator.from_entries(rows, "exact")
 
 
 def vectors(dim):
@@ -78,7 +78,7 @@ def projector_pair(draw):
         return p, p.complement()
     if kind == "span":
         v = draw(vectors(dim))
-        rows = [[p.matrix.data[i][j] for i in range(dim)] for j in range(dim)]
+        rows = [list(col) for col in zip(*p.matrix.entries())]
         return p, Projector.from_span(rows + [v], "exact")
     return p, draw(projector(dim))
 
@@ -95,8 +95,8 @@ def state_and_projector(draw):
 
 def fraction_trace(a, b):
     """The Fraction sum the kernel replaces: sum_ij a_ij b_ji."""
-    d = a.dim
-    return sum((a.data[i][j] * b.data[j][i] for i in range(d) for j in range(d)), EC_ZERO)
+    d, a, b = a.dim, a.entries(), b.entries()
+    return sum((a[i][j] * b[j][i] for i in range(d) for j in range(d)), EC_ZERO)
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,9 +129,9 @@ def test_exact_born_probability_is_trace_of_product(pair):
 @given(state_and_projector())
 def test_mixed_exact_states_are_psd(pair):
     rho, p = pair
-    assert _exact_is_psd(rho.matrix.data, rho.dim)
-    assert _exact_is_psd(p.matrix.data, p.dim)
-    assert not _exact_is_psd(rho.matrix.scale(-1).data, rho.dim)
+    assert _exact_is_psd(rho.matrix.entries(), rho.dim)
+    assert _exact_is_psd(p.matrix.entries(), p.dim)
+    assert not _exact_is_psd(rho.matrix.scale(-1).entries(), rho.dim)
 
 
 @settings(max_examples=80, deadline=None)
@@ -144,7 +144,7 @@ def test_exact_psd_matches_eigenvalues(h, margin):
     m = h + HermitianOperator.identity(h.dim, "exact").scale(shift)
     least = float(np.linalg.eigvalsh(m.to_complex_array()).min())
     assert abs(least) > 1e-2
-    assert _exact_is_psd(m.data, m.dim) == (least > 0)
+    assert _exact_is_psd(m.entries(), m.dim) == (least > 0)
 
 
 def test_exact_states_are_validated_exactly():
@@ -156,14 +156,14 @@ def test_exact_states_are_validated_exactly():
     # off-diagonal mass beyond the diagonal: det = 1/4 - (1/4 + 2 tiny^2) < 0
     half = ExactComplex(Fraction(1, 2))
     off = ExactComplex(Fraction(1, 2), QSqrt2(0, tiny))
-    m = HermitianOperator(2, ((half, off), (off.conj(), half)), "exact")
+    m = HermitianOperator.from_entries(((half, off), (off.conj(), half)), "exact")
     with pytest.raises(ValidationError, match="positive semidefinite"):
         DensityMatrix(m)
     # a zero pivot is allowed only with a zero row
     DensityMatrix(HermitianOperator.diag([0, 1], "exact"))
-    coupled = HermitianOperator(2, ((EC_ZERO, ExactComplex(tiny)),
-                                    (ExactComplex(tiny), ExactComplex(1))), "exact")
-    assert not _exact_is_psd(coupled.data, 2)
+    coupled = HermitianOperator.from_entries(((EC_ZERO, ExactComplex(tiny)),
+                                              (ExactComplex(tiny), ExactComplex(1))), "exact")
+    assert not _exact_is_psd(coupled.entries(), 2)
 
 
 # -- the float pairing -------------------------------------------------------
