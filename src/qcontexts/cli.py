@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import coarse, contexts, intervals, ks, valuations
 from .linalg import DensityMatrix, ValidationError
-from .scalars import QSqrt2, get_eps, set_eps
+from .scalars import get_eps, set_eps
 
 
 def _load_poset(args) -> contexts.ContextPoset:
@@ -30,6 +30,8 @@ def _load_poset(args) -> contexts.ContextPoset:
         with open(args.poset) as fh:
             return contexts.ContextPoset.from_json(json.load(fh))
     if args.rays:
+        if getattr(args, "eps", None) is not None:
+            raise ValidationError("--eps does not apply to --rays: ray sets are exact")
         rs = ks.load_rayset(args.rays)
         poset = ks.poset_from_rayset(rs, close=args.close, include_pairs=args.pairs)
         if args.coarsenings:
@@ -108,8 +110,7 @@ def _presheaf_tables(args, poset) -> valuations.PresheafTables:
     """The state's presheaf tables at the command's threshold."""
     r = _parse_r(args)
     rho = _parse_state(args.state, poset.dim, poset.backend)
-    return valuations.presheaf_tables(rho, poset, QSqrt2(r) if poset.backend == "exact"
-                                      else float(r))
+    return valuations.presheaf_tables(rho, poset, r)
 
 
 def _emit(report: dict, args) -> None:

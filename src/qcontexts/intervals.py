@@ -15,7 +15,8 @@ from operator import mul
 
 from .coarse import LatticeElement, image_mask, lattice, lattice_covers
 from .contexts import Context, ContextPoset
-from .linalg import ValidationError, _scaled_float_ray, get_eps
+from .linalg import ValidationError, _scaled_float_ray, _zi_apply, _zi_ints, get_eps
+from .scalars import exact_entry
 from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair, principal_sieve
 from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
@@ -285,6 +286,8 @@ def largest_annihilating_mask(psi, v: Context) -> int:
     projector). Float vectors are normalized before the ``sqrt(eps)`` test,
     after division by their largest part, so that no scale is too small or
     too large."""
+    if len(psi) != v.dim:
+        raise ValidationError("vector length does not match the dimension")
     if v.backend == "float":
         ray = _scaled_float_ray(psi)
         if ray is None:
@@ -298,16 +301,12 @@ def largest_annihilating_mask(psi, v: Context) -> int:
             if _float_image_norm(atom.matrix.data, re, im, v.dim) <= sqrt(get_eps()):
                 mask |= 1 << i
         return mask
-    from .scalars import EC_ZERO, exact_entry
-
-    vec = [exact_entry(x) for x in psi]
-    if all(x.is_zero() for x in vec):
+    _, w = _zi_ints(map(exact_entry, psi))
+    if not any(map(any, w)):
         raise ValidationError("zero vector")
     mask = 0
     for i, atom in enumerate(v.atoms):
-        rows = atom.matrix.entries()
-        image = [sum((row[c] * vec[c] for c in range(v.dim)), EC_ZERO) for row in rows]
-        if all(x.is_zero() for x in image):
+        if not any(map(any, _zi_apply(atom.matrix.data, w, v.dim))):
             mask |= 1 << i
     return mask
 

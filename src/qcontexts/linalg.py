@@ -4,8 +4,8 @@ Hermitian operators, canonical projectors, density matrices, spectral
 decomposition, functional calculus and Born probabilities. The float backend
 works on flat tuples of Python floats and calls numpy only for eigen- and
 singular-value problems, importing it inside those functions; the exact
-backend works over Q(sqrt(2)) and verifies every decomposition by exact
-reconstruction.
+backend works over Q(sqrt(2)) in integer arithmetic, and takes numpy's
+eigenvalues only as hints that it then verifies exactly.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .scalars import (
-    EC_ONE,
-    EC_ZERO,
     ExactComplex,
     QSqrt2,
     exact_entry,
@@ -463,7 +461,10 @@ class Projector:
         """Projector onto the span of the given vectors: on the float
         backend the left singular vectors whose singular value exceeds
         1e-10 * max(1, largest), so dependent vectors keep the whole span;
-        Gram-Schmidt on the exact one."""
+        on the exact one the sum of the ray projectors of each vector's
+        residual against the span of the vectors before it."""
+        if len(vecs) == 0:
+            raise ValidationError("no vectors to span: the dimension is unknown")
         if backend == "float":
             import numpy as np
 
@@ -471,15 +472,21 @@ class Projector:
             u, sigma, _ = np.linalg.svd(v, full_matrices=False)
             q = u[:, sigma > 1e-10 * max(1.0, float(sigma.max(initial=0.0)))]
             return cls(HermitianOperator.from_entries((q @ q.conj().T).tolist(), validate=False))
-        basis = _exact_gram_schmidt([[exact_entry(x) for x in v] for v in vecs])
         dim = len(vecs[0])
-        acc = HermitianOperator.zero(dim, "exact")
-        for v in basis:
-            n = sum((x.conj() * x for x in v), EC_ZERO)
-            acc = acc + HermitianOperator.from_entries(
-                [[v[i] * v[j].conj() / n for j in range(dim)] for i in range(dim)], "exact",
-                validate=False)
-        return cls(acc)
+        form = HermitianOperator.zero(dim, "exact").data
+        for vec in vecs:
+            if len(vec) != dim:
+                raise ValidationError("span vectors differ in length")
+            _, w = _zi_ints(map(exact_entry, vec))
+            # D (I - P) w for the projector P = M / D built so far; it is
+            # orthogonal to the range of P, so each sum stays a projector
+            den = form[0]
+            residual = [tuple(den * x - y for x, y in zip(u, pu))
+                        for u, pu in zip(w, _zi_apply(form, w, dim))]
+            if any(map(any, residual)):
+                m, n = _zi_ray(residual)
+                form = _exact_combine(add, form, _zi_form(n, [x for row in m for x in row]))
+        return cls(HermitianOperator(dim, form, "exact", validate=False), validate=False)
 
     @classmethod
     def from_matrix(cls, op: HermitianOperator):
@@ -580,6 +587,11 @@ def _ray_ints(vec):
     of 4-tuples.
     """
     _, w = _zi_ints(map(exact_entry, vec))
+    return _zi_ray(w)
+
+
+def _zi_ray(w):
+    """``(M, N)`` of ``_ray_ints`` for a ray of Z[sqrt(2)][i] 4-tuples."""
     big_a = sum(a * a + 2 * b * b + c * c + 2 * e * e for a, b, c, e in w)
     if big_a == 0:
         raise ValidationError("zero ray")
@@ -587,6 +599,14 @@ def _ray_ints(vec):
     scaled = [_zi_mul(x, (big_a, -big_b, 0, 0)) for x in w]
     m = [[_zi_mul(u, (a, b, -c, -e)) for a, b, c, e in w] for u in scaled]
     return m, big_a * big_a - 2 * big_b * big_b
+
+
+def _zi_apply(form, w, dim: int) -> list:
+    """D A w as Z[sqrt(2)][i] 4-tuples, for the integer form (D, p, q) of A
+    and a vector w of 4-tuples."""
+    x = _zi_entries(form, dim * dim)
+    return [tuple(map(sum, zip(*map(_zi_mul, x[k:k + dim], w))))
+            for k in range(0, dim * dim, dim)]
 
 
 def _check_idempotent_ints(m, n: int) -> None:
@@ -624,20 +644,6 @@ def _product_trace(a: HermitianOperator, b: HermitianOperator):
         return sum(map(mul, a.data, b.data))
     r, s, d = _exact_trace_parts(a, b)
     return QSqrt2(Fraction(r, d), Fraction(s, d))
-
-
-def _exact_gram_schmidt(vecs):
-    """Orthogonalize (no normalization) over Q(sqrt(2)); drops dependents."""
-    basis = []
-    for v in vecs:
-        w = list(v)
-        for u in basis:
-            nu = sum((x.conj() * x for x in u), EC_ZERO)
-            c = sum((u[i].conj() * w[i] for i in range(len(w))), EC_ZERO) / nu
-            w = [w[i] - c * u[i] for i in range(len(w))]
-        if any(not x.is_zero() for x in w):
-            basis.append(w)
-    return basis
 
 
 def _exact_is_psd(data, dim) -> bool:
@@ -730,7 +736,8 @@ def spectral_decompose(a: HermitianOperator):
 
     Float backend: eigenvalues closer than the global tolerance are merged
     into one eigenprojector. Exact backend: eigenvalues must lie in
-    Q(sqrt(2)); the decomposition is verified by exact reconstruction.
+    Q(sqrt(2)); each eigenprojector is a polynomial in the operator,
+    verified exactly.
     """
     if not a._is_hermitian():
         raise ValidationError("operator is not Hermitian")
@@ -777,61 +784,24 @@ def _spectral_exact(a: HermitianOperator):
                 "use the float backend for this operator"
             )
         eigs.append(lam)
+    # P_lam = prod over mu != lam of (A - mu I) / (lam - mu) (Sylvester).
+    # These polynomials sum to I for any distinct values, so a missed
+    # eigenvalue leaves some A P_lam != lam P_lam, and a spurious lam gives
+    # P_lam = 0: the two tests below verify the whole decomposition, and
+    # what passes is the spectral projectors of A.
+    lams = sorted(set(eigs))
     eye = HermitianOperator.identity(a.dim, "exact")
+    shifted = {mu: a - eye.scale(mu) for mu in lams}
     out = []
-    for lam in sorted(set(eigs)):
-        kernel = _exact_nullspace((a - eye.scale(lam)).entries(), a.dim)
-        if not kernel:
+    for lam in lams:
+        p = eye
+        for mu in lams:
+            if mu != lam:
+                p = p @ shifted[mu].scale(1 / (lam - mu))
+        if p.is_zero() or not (a @ p).close_to(p.scale(lam)):
             raise BackendError("numeric eigenvalue hint failed exact verification")
-        out.append((lam, Projector.from_span(kernel, "exact")))
-    # exact verification: completeness and reconstruction
-    total = recon = HermitianOperator.zero(a.dim, "exact")
-    for lam, p in out:
-        total = total + p.matrix
-        recon = recon + p.matrix.scale(lam)
-    if not (total.close_to(eye) and recon.close_to(a)):
-        raise BackendError("exact spectral decomposition failed verification")
+        out.append((lam, Projector(p, validate=False)))
     return out
-
-
-def _exact_rref(rows, ncols):
-    """Reduced row echelon form over the exact complex field; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _exact_nullspace(mat, dim):
-    rows, pivots = _exact_rref([list(r) for r in mat], dim)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [EC_ZERO] * dim
-        v[fc] = EC_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
 
 
 class EigenvalueFunction:

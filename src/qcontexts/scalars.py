@@ -183,7 +183,6 @@ def _coerce(x):
 
 
 Q_ZERO = QSqrt2(0)
-Q_ONE = QSqrt2(1)
 Q_SQRT2 = QSqrt2(0, 1)
 
 
@@ -278,7 +277,6 @@ def _coerce_c(x):
 
 
 EC_ZERO = ExactComplex(Q_ZERO, Q_ZERO)
-EC_ONE = ExactComplex(Q_ONE, Q_ZERO)
 
 
 def exact_entry(x) -> ExactComplex:

@@ -74,33 +74,22 @@ def stage_weights(rho: DensityMatrix, poset: ContextPoset) -> dict:
     return out
 
 
-def _mask_weight(weights, mask: int):
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total = weights[i] + total
-        mask >>= 1
-        i += 1
-    return total
-
-
-def _at_least(value, r, backend: str) -> bool:
-    if backend == "exact":
-        rq = r if isinstance(r, (QSqrt2,)) else QSqrt2(Fraction(r) if not isinstance(r, float)
-                                                       else Fraction(r).limit_denominator(10**9))
-        v = value if isinstance(value, QSqrt2) else QSqrt2(value)
-        return v >= rq
-    return float(value) >= float(r) - get_eps()
-
-
-def _truth_tables(weights: dict, r, backend: str) -> dict:
-    """Per stage, whether each mask carries Born weight at least r, as a
-    list indexed by mask. Whether a coarse-grained element is in a sieve
-    depends only on the lower stage and the image mask, so each (stage,
-    mask) pair is decided once."""
-    return {cid: [_at_least(_mask_weight(w, q), r, backend) for q in range(1 << len(w))]
-            for cid, w in weights.items()}
+def _truth_tables(weights: dict, limit) -> dict:
+    """Per stage, whether each mask carries Born weight at least ``limit``,
+    as a list indexed by mask. Whether a coarse-grained element is in a
+    sieve depends only on the lower stage and the image mask, so each
+    (stage, mask) pair is decided once. A mask's mass is its highest atom's
+    weight plus the mass of the rest: the atoms are added from the lowest
+    up, as one sum per mask would add them, so float masses keep their
+    bits."""
+    out = {}
+    for cid, w in weights.items():
+        mass = [0]
+        for m in range(1, 1 << len(w)):
+            top = m.bit_length() - 1
+            mass.append(w[top] + mass[m ^ 1 << top])
+        out[cid] = [x >= limit for x in mass]
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,16 @@ def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTable
     # the lattice bound applies before any 2^k table is built
     for cid in poset.ids():
         lattice_size(poset.contexts[cid])
-    truth = _truth_tables(weights, r, poset.backend)
+    if poset.backend == "float":
+        limit = float(r) - get_eps()
+    # a float threshold on the exact backend is read as the nearest
+    # fraction with denominator at most 10^9
+    elif isinstance(r, QSqrt2):
+        limit = r
+    else:
+        limit = QSqrt2(Fraction(r).limit_denominator(10**9) if isinstance(r, float)
+                       else Fraction(r))
+    truth = _truth_tables(weights, limit)
     images = {(sub, sup): image_masks(poset.restriction[(sub, sup)], poset.contexts[sup].n_atoms)
               for sub, sup in poset.proper_pairs()}
     return PresheafTables(poset, weights, truth, images)

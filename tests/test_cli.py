@@ -173,9 +173,12 @@ def test_invalid_eps_exits_2(capsys, eps):
     assert get_eps() == before
 
 
-def test_eps_is_restored_when_main_returns(capsys):
+def test_eps_is_restored_when_main_returns(tmp_path, capsys):
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(json.loads(out)["poset"]))
     before = get_eps()
-    code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--eps", "1e-3")
+    code, out = run(capsys, "valuate", "--poset", str(poset), "--eps", "1e-3")
     assert code == 0 and json.loads(out)["config"]["eps"] == 1e-3
     assert get_eps() == before
 
@@ -230,8 +233,9 @@ def test_axiom_flags_reach_the_checks(capsys, argv, unchecked):
     ["verify-axioms", "--poset", "poset.json", "--pairs"],
     ["intervals", "--poset", "poset.json", "--coarsenings"],
     ["build-poset", "--poset", "poset.json", "--no-close"],
+    ["valuate", "--rays", "dim2_two_bases", "--eps", "1e-3"],
 ], ids=["intervals-no-unit", "poset-rays", "poset-pairs", "poset-coarsenings",
-        "poset-no-close"])
+        "poset-no-close", "rays-eps"])
 def test_flag_that_does_not_apply_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")

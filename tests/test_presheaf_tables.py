@@ -36,12 +36,11 @@ from qcontexts.intervals import (
     probability_family,
 )
 from qcontexts.ks import load_rayset, poset_from_rayset
-from qcontexts.linalg import DensityMatrix, ValidationError
+from qcontexts.linalg import DensityMatrix, ValidationError, get_eps
+from qcontexts.scalars import QSqrt2
 from qcontexts.valuations import (
     Sieve,
     ValuationTable,
-    _at_least,
-    _mask_weight,
     check_valuation,
     natural_transformation_check,
     presheaf_tables,
@@ -55,6 +54,26 @@ THRESHOLDS = [1, Fraction(3, 5), Fraction(3, 10)]
 # ---------------------------------------------------------------------------
 # references
 # ---------------------------------------------------------------------------
+
+
+def _mask_weight(weights, mask: int):
+    total = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            total = weights[i] + total
+        mask >>= 1
+        i += 1
+    return total
+
+
+def _at_least(value, r, backend: str) -> bool:
+    if backend == "exact":
+        rq = r if isinstance(r, (QSqrt2,)) else QSqrt2(Fraction(r) if not isinstance(r, float)
+                                                       else Fraction(r).limit_denominator(10**9))
+        v = value if isinstance(value, QSqrt2) else QSqrt2(value)
+        return v >= rq
+    return float(value) >= float(r) - get_eps()
 
 
 def valuation_table_reference(rho, poset, r):
@@ -278,6 +297,21 @@ def test_tables_and_reports_match_references(name):
     assert failures["intact"] == set()
     assert failures["rotated"] == (set() if bad is None else {"composition"})
     assert failures["flipped"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_truth_tables_match_per_mask_sums(name):
+    """Each stage's truth table is the per-mask sum and comparison of the
+    old helpers, bit for bit, also at float thresholds on the exact ks18
+    posets, where masks weigh exactly 1/5, 3/10, 2/5 and 7/10 (the float
+    0.2 and 0.4 lie above 1/5 and 2/5, the float 0.3 and 0.7 below 3/10 and
+    7/10)."""
+    poset, rho, _ = case(name)
+    weights = stage_weights(rho, poset)
+    for r in THRESHOLDS + [0.2, 0.3, 0.4, 0.7, QSqrt2(Fraction(1, 2))]:
+        truth = presheaf_tables(rho, poset, r).truth
+        assert truth == {cid: [_at_least(_mask_weight(w, m), r, poset.backend)
+                               for m in range(1 << len(w))] for cid, w in weights.items()}
 
 
 @pytest.mark.parametrize("name", CASES)
