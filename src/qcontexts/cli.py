@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import coarse, contexts, intervals, ks, valuations
-from .linalg import DensityMatrix, ValidationError
+from .linalg import DensityMatrix, ValidationError, read_json_file
 from .scalars import get_eps, set_eps
 
 
@@ -27,8 +27,7 @@ def _load_poset(args) -> contexts.ContextPoset:
         if args.rays or args.pairs or args.coarsenings or not args.close:
             raise ValidationError("--rays, --pairs, --coarsenings and --no-close "
                                   "do not apply to --poset")
-        with open(args.poset) as fh:
-            return contexts.ContextPoset.from_json(json.load(fh))
+        return contexts.ContextPoset.from_json(read_json_file(args.poset))
     if args.rays:
         if getattr(args, "eps", None) is not None:
             raise ValidationError("--eps does not apply to --rays: ray sets are exact")
@@ -61,8 +60,7 @@ def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
         if backend == "float":
             return DensityMatrix.from_diag(_floats(parts), backend)
         return DensityMatrix.from_diag(parts, backend)
-    with open(spec) as fh:
-        return DensityMatrix.from_json(json.load(fh))
+    return DensityMatrix.from_json(read_json_file(spec))
 
 
 def _state_vector(spec: str, dim: int):
@@ -246,8 +244,7 @@ def cmd_verify_axioms(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input) as fh:
-        obj = json.load(fh)
+    obj = read_json_file(args.input)
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return 0
 

@@ -8,20 +8,21 @@ atoms) is used in production with the brute-force infimum kept as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .contexts import Context, ContextPoset, SpectralFunctional, restriction_map
 from .linalg import HermitianOperator, Projector, ValidationError
+from .records import Record
 
 LATTICE_ATOM_BOUND = 20
 
 
-@dataclass(frozen=True)
-class LatticeElement:
+class LatticeElement(Record):
     """A projector in a context's lattice: the bitmask of its atoms."""
 
-    context_id: str
-    mask: int
+    __slots__ = ("context_id", "mask")
+
+    def __init__(self, context_id: str, mask: int):
+        object.__setattr__(self, "context_id", context_id)
+        object.__setattr__(self, "mask", mask)
 
     def leq(self, other: "LatticeElement") -> bool:
         if self.context_id != other.context_id:
@@ -117,6 +118,20 @@ def image_masks(rmap, size: int) -> list:
     return img
 
 
+def image_arrays(maps: dict, built: dict) -> dict:
+    """The `image_masks` array of every atom map in ``maps`` ((sub, sup) ->
+    map), by pair. Many pairs share a map, so each distinct map's array is
+    built once and kept in ``built`` (map -> array); a map has one entry per
+    atom of sup, so the map alone fixes the array's size."""
+    out = {}
+    for pair, rmap in maps.items():
+        img = built.get(rmap)
+        if img is None:
+            img = built[rmap] = image_masks(rmap, len(rmap))
+        out[pair] = img
+    return out
+
+
 def projector_restrictions(poset: ContextPoset) -> dict:
     """The atom map of every proper pair, recomputed from the projector
     order instead of read from ``poset.restriction``: the route by which
@@ -186,13 +201,16 @@ def coarse_functoriality_check(poset: ContextPoset) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugmentedProposition:
+class AugmentedProposition(Record):
     """All (operator, eigenvalue subset) pairs witnessing one lattice element."""
 
-    context_id: str
-    element: LatticeElement
-    witnesses: tuple  # of (HermitianOperator, tuple of eigenvalues)
+    __slots__ = ("context_id", "element", "witnesses")
+
+    def __init__(self, context_id: str, element: LatticeElement, witnesses: tuple):
+        object.__setattr__(self, "context_id", context_id)
+        object.__setattr__(self, "element", element)
+        # of (HermitianOperator, tuple of eigenvalues)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def canonical_probe(v: Context) -> HermitianOperator:

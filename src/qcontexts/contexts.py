@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +26,7 @@ from .linalg import (
     get_eps,
     spectral_decompose,
 )
+from .records import Record
 from .scalars import QSqrt2
 
 
@@ -103,12 +103,14 @@ def _atom_coefficient(a: HermitianOperator, atom: Projector):
     return t.real / atom.rank
 
 
-@dataclass(frozen=True)
-class SpectralFunctional:
+class SpectralFunctional(Record):
     """The multiplicative functional picking out one atom of a context."""
 
-    context_id: str
-    index: int
+    __slots__ = ("context_id", "index")
+
+    def __init__(self, context_id: str, index: int):
+        object.__setattr__(self, "context_id", context_id)
+        object.__setattr__(self, "index", index)
 
     def __call__(self, a: HermitianOperator, context: Context):
         if context.id != self.context_id:
@@ -121,24 +123,24 @@ def spectrum(v: Context):
     return [SpectralFunctional(v.id, i) for i in range(v.n_atoms)]
 
 
-@dataclass(frozen=True)
-class StateOnContext:
+class StateOnContext(Record):
     """A state on a context: non-negative per-atom weights summing to 1,
     exactly in Q(sqrt 2) when every weight is exact (QSqrt2, Fraction or
     int), within 1e-6 otherwise."""
 
-    context_id: str
-    weights: tuple
+    __slots__ = ("context_id", "weights")
 
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
+    def __init__(self, context_id: str, weights: tuple):
+        if any(w < 0 for w in weights):
             raise ValidationError("state weight is negative")
-        if all(isinstance(w, (QSqrt2, Fraction, int)) for w in self.weights):
-            one = sum(self.weights, QSqrt2(0)) == 1
+        if all(isinstance(w, (QSqrt2, Fraction, int)) for w in weights):
+            one = sum(weights, QSqrt2(0)) == 1
         else:
-            one = abs(sum(float(w) for w in self.weights) - 1.0) <= 1e-6
+            one = abs(sum(float(w) for w in weights) - 1.0) <= 1e-6
         if not one:
             raise ValidationError("state weights do not sum to 1")
+        object.__setattr__(self, "context_id", context_id)
+        object.__setattr__(self, "weights", weights)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +332,8 @@ class ContextPoset:
     dominating atom of a smaller one) are precomputed for every order pair.
     """
 
-    __slots__ = ("dim", "backend", "contexts", "leq", "down", "restriction", "bottom_id")
+    __slots__ = ("dim", "backend", "contexts", "leq", "down", "restriction", "bottom_id",
+                 "_proper_pairs")
 
     def __init__(self, contexts: dict, leq, down, restriction, bottom_id):
         self.contexts = contexts
@@ -338,6 +341,7 @@ class ContextPoset:
         self.dim = some.dim
         self.backend = some.backend
         self.leq = leq
+        self._proper_pairs = tuple((a, b) for (a, b) in sorted(leq) if a != b)
         self.down = down
         self.restriction = restriction
         self.bottom_id = bottom_id
@@ -355,9 +359,9 @@ class ContextPoset:
         """All context ids <= cid, sorted (includes cid itself)."""
         return self.down[cid]
 
-    def proper_pairs(self):
+    def proper_pairs(self) -> tuple:
         """All (sub, sup) pairs with sub strictly below sup, sorted."""
-        return [(a, b) for (a, b) in sorted(self.leq) if a != b]
+        return self._proper_pairs
 
     def maximal_ids(self):
         tops = []

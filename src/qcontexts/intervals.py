@@ -9,43 +9,49 @@ checks, and ideal-induced valuations from a vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from operator import mul
 
 from .coarse import LatticeElement, image_mask, lattice, lattice_covers
 from .contexts import Context, ContextPoset
 from .linalg import ValidationError, _scaled_float_ray, _zi_apply, _zi_ints, get_eps
+from .records import Record
 from .scalars import exact_entry
 from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair, principal_sieve
 from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
 
-@dataclass(frozen=True)
-class IntervalAssignment:
+class IntervalAssignment(Record):
     """Per-stage subsets of the spectrum, stored as atom-index sets."""
 
-    sets: dict  # context id -> frozenset[int]
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: dict):
+        object.__setattr__(self, "sets", sets)  # context id -> frozenset[int]
 
     def to_json(self) -> dict:
         return {cid: sorted(s) for cid, s in sorted(self.sets.items())}
 
 
-@dataclass(frozen=True)
-class ProjectorFamily:
+class ProjectorFamily(Record):
     """Per-stage subsets of the projector lattice, stored as bitmask sets."""
 
-    masks: dict  # context id -> frozenset[int]
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: dict):
+        object.__setattr__(self, "masks", masks)  # context id -> frozenset[int]
 
     def to_json(self) -> dict:
         return {cid: sorted(s) for cid, s in sorted(self.masks.items())}
 
 
-@dataclass(frozen=True)
-class CoarseGlobalElement:
+class CoarseGlobalElement(Record):
     """One lattice element per stage, compatible with coarse-graining."""
 
-    choices: dict  # context id -> mask
+    __slots__ = ("choices",)
+
+    def __init__(self, choices: dict):
+        object.__setattr__(self, "choices", choices)  # context id -> mask
 
     def element(self, cid: str) -> LatticeElement:
         return LatticeElement(cid, self.choices[cid])

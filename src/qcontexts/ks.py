@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, product
 
 from .contexts import Context, ContextPoset, SpectralFunctional, build_poset, restrict_functional
-from .linalg import Projector, ValidationError
+from .linalg import Projector, ValidationError, read_json_file
+from .records import Record
 
 # Every poset holds the trivial context's exact dim x dim identity, so time
 # and memory grow as dim^2.
@@ -94,10 +94,17 @@ def _is_index(x) -> bool:
 
 
 def _is_bad_entry(x) -> bool:
-    """A boolean or null ray entry, or an ``[a, b]`` pair holding one."""
-    if isinstance(x, (list, tuple)):
-        return any(_is_bad_entry(y) for y in x)
-    return x is None or isinstance(x, bool)
+    """A boolean or null ray entry, or an ``[a, b]`` pair holding one at
+    any depth. The walk keeps its own stack, so no nesting depth exhausts
+    the interpreter's."""
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if isinstance(y, (list, tuple)):
+            todo.extend(y)
+        elif y is None or isinstance(y, bool):
+            return True
+    return False
 
 
 def discover_bases(projectors, dim: int):
@@ -137,15 +144,13 @@ def load_rayset(source) -> RaySet:
         if "/" not in name and not name.endswith(".json"):
             name = name + ".json"
         if "/" in name:
-            with open(name) as fh:
-                obj = json.load(fh)
+            obj = read_json_file(name)
         else:
             ref = resources.files("qcontexts.data") / name
             if ref.is_file():
                 obj = json.loads(ref.read_text())
             else:
-                with open(str(source)) as fh:
-                    obj = json.load(fh)
+                obj = read_json_file(str(source))
     if not isinstance(obj, dict):
         raise ValidationError("a ray set must be a JSON object")
     field = obj.get("field", "int")
@@ -187,8 +192,7 @@ def poset_from_rayset(rayset: RaySet, close: bool = True,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledProblem:
+class CompiledProblem(Record):
     """The section-search CSP: one choice variable per maximal context and
     one forced-value slot per non-maximal context.
 
@@ -197,10 +201,13 @@ class CompiledProblem:
     ``rmap[a]`` into ``slot``.
     """
 
-    maximal_ids: tuple
-    slot_ids: tuple
-    natoms: tuple
-    constraints: tuple
+    __slots__ = ("maximal_ids", "slot_ids", "natoms", "constraints")
+
+    def __init__(self, maximal_ids: tuple, slot_ids: tuple, natoms: tuple, constraints: tuple):
+        object.__setattr__(self, "maximal_ids", maximal_ids)
+        object.__setattr__(self, "slot_ids", slot_ids)
+        object.__setattr__(self, "natoms", natoms)
+        object.__setattr__(self, "constraints", constraints)
 
 
 def compile_problem(poset: ContextPoset) -> CompiledProblem:
@@ -290,11 +297,13 @@ def search_sections(natoms, constraints, n_slots, want_all=False, limit=0):
     return solutions, nodes
 
 
-@dataclass(frozen=True)
-class SectionAssignment:
+class SectionAssignment(Record):
     """A full choice of one atom index per context id."""
 
-    choices: dict
+    __slots__ = ("choices",)
+
+    def __init__(self, choices: dict):
+        object.__setattr__(self, "choices", choices)
 
     def functional(self, cid: str) -> SpectralFunctional:
         return SpectralFunctional(cid, self.choices[cid])

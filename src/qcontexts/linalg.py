@@ -10,6 +10,7 @@ eigenvalues only as hints that it then verifies exactly.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import copysign, gcd, hypot, lcm
@@ -31,6 +32,16 @@ class BackendError(ValueError):
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural precondition."""
+
+
+def read_json_file(path):
+    """The JSON value in a file. A document nested deeper than the parser
+    can recurse is an input error, not a crash."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,23 @@ coarse-grained projector carries Born weight 1 (or at least r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .coarse import LatticeElement, image_masks, lattice_covers, lattice_size, top
+from .coarse import LatticeElement, image_arrays, lattice_covers, lattice_size, top
 from .contexts import ContextPoset
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
+from .records import Record
 from .scalars import QSqrt2
 
 
-@dataclass(frozen=True)
-class Sieve:
+class Sieve(Record):
     """A lower set of contexts at and below a stage."""
 
-    stage: str
-    members: frozenset
+    __slots__ = ("stage", "members")
+
+    def __init__(self, stage: str, members: frozenset):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def build(cls, stage: str, members, poset: ContextPoset) -> "Sieve":
@@ -92,17 +94,22 @@ def _truth_tables(weights: dict, limit) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PresheafTables:
+class PresheafTables(Record):
     """What the constructions of a state on a poset read: each stage's atom
     Born weights, each stage's truth table at threshold r, and the image
     array (`image_masks`) of every proper morphism under
     ``poset.restriction``. One command builds one of these."""
 
-    poset: ContextPoset
-    weights: dict  # context id -> tuple of atom Born weights
-    truth: dict  # context id -> list indexed by mask: weight >= r
-    images: dict  # (sub, sup) -> list indexed by mask of sup: image mask in sub
+    __slots__ = ("poset", "weights", "truth", "images")
+
+    def __init__(self, poset: ContextPoset, weights: dict, truth: dict, images: dict):
+        object.__setattr__(self, "poset", poset)
+        # context id -> tuple of atom Born weights
+        object.__setattr__(self, "weights", weights)
+        # context id -> list indexed by mask: weight >= r
+        object.__setattr__(self, "truth", truth)
+        # (sub, sup) -> list indexed by mask of sup: image mask in sub
+        object.__setattr__(self, "images", images)
 
 
 def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTables:
@@ -124,8 +131,7 @@ def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTable
         limit = QSqrt2(Fraction(r).limit_denominator(10**9) if isinstance(r, float)
                        else Fraction(r))
     truth = _truth_tables(weights, limit)
-    images = {(sub, sup): image_masks(poset.restriction[(sub, sup)], poset.contexts[sup].n_atoms)
-              for sub, sup in poset.proper_pairs()}
+    images = image_arrays({pair: poset.restriction[pair] for pair in poset.proper_pairs()}, {})
     return PresheafTables(poset, weights, truth, images)
 
 
@@ -270,9 +276,9 @@ def natural_transformation_check(table: ValuationTable, maps: dict) -> dict:
     ``maps``, the atom maps recomputed from the projector order by
     `projector_restrictions`, so a restriction table that disagrees with the
     matrices fails the check."""
-    contexts = table.poset.contexts
-    images = {(sub, sup): image_masks(rmap, contexts[sup].n_atoms)
-              for (sub, sup), rmap in maps.items()}
+    restriction = table.poset.restriction
+    images = image_arrays(maps, {restriction[pair]: img
+                                 for pair, img in table.tables.images.items()})
     squares, square = _first_failing_square(table, images)
     if square is None:
         return {"ok": True, "squares_checked": squares, "counterexample": None}

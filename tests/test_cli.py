@@ -383,6 +383,21 @@ def test_malformed_poset_exits_2_with_one_error(tmp_path, capsys, poset):
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-poset", "--poset", "FILE"],
+    ["ks-check", "--rays", "FILE"],
+    ["valuate", "--rays", "ks18", "--state", "FILE"],
+    ["report", "FILE"],
+], ids=["poset", "rays", "state", "report"])
+def test_deeply_nested_json_exits_2_with_one_error(tmp_path, capsys, argv):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    code, out = run(capsys, *[str(f) if a == "FILE" else a for a in argv])
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
 def test_malformed_state_file_exits_2(tmp_path, capsys):
     f = tmp_path / "state.json"
     f.write_text("[]")

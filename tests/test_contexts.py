@@ -210,6 +210,13 @@ def test_poset_json_roundtrip():
     assert again.leq == poset.leq
 
 
+def test_proper_pairs_are_one_sorted_tuple_per_poset():
+    poset = random_poset(make_rng(23), 3)
+    pairs = poset.proper_pairs()
+    assert isinstance(pairs, tuple) and poset.proper_pairs() is pairs
+    assert list(pairs) == [(a, b) for (a, b) in sorted(poset.leq) if a != b]
+
+
 def test_exact_poset_from_integer_rays():
     p = [Projector.from_ray(r, "exact") for r in ([1, 0, 0], [0, 1, 1], [0, 1, -1])]
     v = Context(p)

@@ -5,6 +5,7 @@ import pytest
 from qcontexts.contexts import Context, build_poset
 from qcontexts.ks import (
     RaySet,
+    _is_bad_entry,
     brute_force_sections,
     compile_problem,
     discover_bases,
@@ -38,6 +39,17 @@ def test_declared_bases_index_rays_as_given():
 def test_declared_nonorthogonal_basis_rejected():
     with pytest.raises(ValidationError):
         RaySet(2, [[1, 0], [1, 1]], bases=[[0, 1]])
+
+
+def test_ray_entry_check_survives_any_nesting_depth():
+    # a ray file nested just under the JSON parser's depth limit reaches
+    # this check; it must not recurse once per level
+    deep = None
+    for _ in range(100_000):
+        deep = [deep]
+    assert _is_bad_entry(deep)
+    assert _is_bad_entry([[[["1/2", True]]]])
+    assert not _is_bad_entry([[[["1/2", 1]]]])
 
 
 def test_basis_discovery_matches_declaration():

@@ -11,12 +11,15 @@ atom maps atom by atom; its reference compares their image arrays mask by
 mask.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_rng, random_density, random_poset
+from conftest import float_workload, make_rng, random_density, random_poset
 
+from qcontexts import coarse
+from qcontexts.cli import main
 from qcontexts.coarse import (
     LatticeElement,
     clopen_iso_check,
@@ -332,3 +335,21 @@ def test_image_masks_match_image_mask():
     for rmap in [(0,), (1, 0, 1), (2, 0, 1, 0), (0, 0, 0, 0, 1)]:
         img = image_masks(rmap, len(rmap))
         assert img == [image_mask(rmap, m) for m in range(1 << len(rmap))]
+
+
+def test_verify_axioms_builds_one_image_array_per_distinct_map(tmp_path, monkeypatch):
+    """The poset's maps and the projector maps of naturality share one array
+    per distinct map: 77 arrays for the 1,089 proper pairs of the seed-501
+    benchmark poset."""
+    path, psi = float_workload(501, str(tmp_path))
+    built = []
+    real = coarse.image_masks
+    monkeypatch.setattr(coarse, "image_masks",
+                        lambda rmap, size: built.append(rmap) or real(rmap, size))
+    assert main(["verify-axioms", "--poset", path, "--state", psi,
+                 "--output", str(tmp_path / "out.json")]) == 0
+    with open(path) as fh:
+        poset = ContextPoset.from_json(json.load(fh))
+    distinct = {poset.restriction[pair] for pair in poset.proper_pairs()}
+    assert len(poset.proper_pairs()) == 1089
+    assert sorted(built) == sorted(distinct) and len(built) == 77

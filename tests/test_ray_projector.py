@@ -5,7 +5,8 @@ Z[sqrt 2][i] and forms P = M / N in integers (`linalg._ray_ints`), with
 idempotency decided as M M == N M. It is checked here against the
 `ExactComplex` formula v v* / <v, v> it replaced, kept below as the
 reference. CLI commands never import numpy, on either backend, unless they
-read a density-matrix file or a `diag:` state.
+read a density-matrix file or a `diag:` state, and the CLI never imports
+`dataclasses` or the modules it pulls in.
 """
 
 import json
@@ -143,6 +144,19 @@ codes.append(main(["build-poset", "--rays", "dim2_two_bases", "--output", "dim2.
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
     assert _python(code, tmp_path) == {"codes": [0] * 7, "numpy": False}
+
+
+def test_cli_imports_neither_dataclasses_nor_numpy(tmp_path):
+    code = """
+import json, sys
+names = ("dataclasses", "inspect", "ast", "dis", "tokenize", "numpy")
+import qcontexts.cli
+after_import = [n for n in names if n in sys.modules]
+code = qcontexts.cli.main(["ks-check", "--rays", "ks18", "--output", "ks18.json"])
+print(json.dumps({"import": after_import, "code": code,
+                  "run": [n for n in names if n in sys.modules]}))
+"""
+    assert _python(code, tmp_path) == {"import": [], "code": 0, "run": []}
 
 
 def test_float_poset_commands_do_not_import_numpy(tmp_path):
