@@ -70,13 +70,11 @@ from .linalg import (
 from .scalars import ExactComplex, QSqrt2, get_eps, set_eps
 from .valuations import (
     PresheafTables,
-    Sieve,
     ValuationTable,
     check_valuation,
     natural_transformation_check,
     presheaf_tables,
     principal_sieve,
-    pullback,
     state_valuation,
     valuation_table,
 )

@@ -29,6 +29,10 @@ from .linalg import (
 from .records import Record
 from .scalars import QSqrt2
 
+# Every poset holds the trivial context's dim x dim identity, so time
+# and memory grow as dim^2.
+DIM_BOUND = 32
+
 
 class Context:
     """A partition of the identity into mutually orthogonal nonzero atoms."""
@@ -386,6 +390,8 @@ class ContextPoset:
         dim = obj.get("dim")
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise ValidationError("poset JSON needs an integer dim")
+        if not 1 <= dim <= DIM_BOUND:
+            raise ValidationError(f"dim must be an integer in [1, {DIM_BOUND}], got {dim!r}")
         if not isinstance(obj.get("contexts"), list):
             raise ValidationError("poset JSON needs a contexts array")
         gens = []
@@ -403,7 +409,7 @@ class ContextPoset:
             if atoms and atoms[0].dim != dim:
                 raise ValidationError("context dimension disagrees with poset dimension")
             gens.append(Context(atoms))
-        return build_poset(gens, close_under_meet=False)
+        return build_poset(gens, close_under_meet=False, dim=dim)
 
 
 def build_poset(generators, close_under_meet: bool = False, dim: int | None = None,

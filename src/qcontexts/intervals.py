@@ -12,25 +12,25 @@ from __future__ import annotations
 from math import sqrt
 from operator import mul
 
-from .coarse import LatticeElement, image_mask, lattice, lattice_covers
-from .contexts import Context, ContextPoset
+from .coarse import LatticeElement, image_mask, lattice_covers, top
+from .contexts import Context, ContextPoset, _bits
 from .linalg import ValidationError, _scaled_float_ray, _zi_apply, _zi_ints, get_eps
 from .records import Record
 from .scalars import exact_entry
-from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair, principal_sieve
+from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair
 from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
 
 class IntervalAssignment(Record):
-    """Per-stage subsets of the spectrum, stored as atom-index sets."""
+    """Per-stage subsets of the spectrum, stored as atom masks."""
 
     __slots__ = ("sets",)
 
     def __init__(self, sets: dict):
-        object.__setattr__(self, "sets", sets)  # context id -> frozenset[int]
+        object.__setattr__(self, "sets", sets)  # context id -> atom mask
 
     def to_json(self) -> dict:
-        return {cid: sorted(s) for cid, s in sorted(self.sets.items())}
+        return {cid: list(_bits(s)) for cid, s in sorted(self.sets.items())}
 
 
 class ProjectorFamily(Record):
@@ -67,9 +67,8 @@ class CoarseGlobalElement(Record):
 
 def true_set(table: ValuationTable, cid: str):
     """Lattice elements valued at the principal sieve at the given stage."""
-    poset = table.poset
-    true_v = principal_sieve(poset, cid)
-    return {e for e in lattice(poset.contexts[cid]) if table.sieve(e) == true_v}
+    true_v = table.down[cid]
+    return {LatticeElement(cid, m) for m, s in enumerate(table.maps[cid]) if s == true_v}
 
 
 def support(weights, v: Context) -> LatticeElement:
@@ -86,33 +85,25 @@ def support(weights, v: Context) -> LatticeElement:
 
 def true_subobject(tables: PresheafTables) -> IntervalAssignment:
     """Per stage, the functionals dominated by the support; never empty."""
-    sets = {}
-    for cid in tables.poset.ids():
-        v = tables.poset.contexts[cid]
-        q = support(tables.weights[cid], v)
-        sets[cid] = frozenset(i for i in range(v.n_atoms) if q.mask >> i & 1)
-    return IntervalAssignment(sets)
+    contexts = tables.poset.contexts
+    return IntervalAssignment({cid: support(tables.weights[cid], contexts[cid]).mask
+                               for cid in tables.poset.ids()})
 
 
 def interval_from_valuation(table: ValuationTable, poset: ContextPoset) -> IntervalAssignment:
     """Functionals dominated by the infimum of the stage's true-set; empty
     where that infimum is the zero projector."""
-    sets = {}
-    for cid in poset.ids():
-        inf_mask = _true_set_infimum(table, cid)
-        sets[cid] = frozenset(i for i in range(poset.contexts[cid].n_atoms) if inf_mask >> i & 1)
-    return IntervalAssignment(sets)
+    return IntervalAssignment({cid: _true_set_infimum(table, cid) for cid in poset.ids()})
 
 
 def _true_set_infimum(table: ValuationTable, cid: str) -> int:
     """Mask of the meet of the stage's true-set; 0 when the true-set is empty."""
-    ts = true_set(table, cid)
-    if not ts:
-        return 0
-    inf_mask = (1 << table.poset.contexts[cid].n_atoms) - 1
-    for e in ts:
-        inf_mask &= e.mask
-    return inf_mask
+    true_v = table.down[cid]
+    inf_mask = -1  # all bits set: the meet of no elements
+    for m, s in enumerate(table.maps[cid]):
+        if s == true_v:
+            inf_mask &= m
+    return max(inf_mask, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +118,14 @@ def check_spectral_subobject(assignment: IntervalAssignment, poset: ContextPoset
     morphisms = []
     weak_ok = True
     for sub, sup in poset.proper_pairs():
-        rmap = poset.restriction[(sub, sup)]
-        image = frozenset(rmap[i] for i in assignment.sets[sup])
+        image = image_mask(poset.restriction[(sub, sup)], assignment.sets[sup])
         target = assignment.sets[sub]
-        weak = image <= target
+        weak = not image & ~target
         strong = image == target
         weak_ok = weak_ok and weak
         morphisms.append(
             {"morphism": [sub, sup], "weak": weak, "strong": strong,
-             "image": sorted(image), "target": sorted(target)}
+             "image": list(_bits(image)), "target": list(_bits(target))}
         )
     return {"ok": weak_ok, "morphisms": morphisms}
 
@@ -143,7 +133,7 @@ def check_spectral_subobject(assignment: IntervalAssignment, poset: ContextPoset
 def operator_interval(assignment: IntervalAssignment, a, v: Context):
     """The set of spectral values an operator takes on the assigned functionals."""
     values = v.atom_coefficients(a)
-    return {float(values[i]) for i in assignment.sets[v.id]}
+    return {float(values[i]) for i in _bits(assignment.sets[v.id])}
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +163,7 @@ def global_element_from_valuation(table: ValuationTable, poset: ContextPoset):
 
 def interval_from_global_element(gamma: CoarseGlobalElement, poset: ContextPoset) -> IntervalAssignment:
     """The spectrum subsets picked out by a global element's projectors."""
-    sets = {}
-    for cid, mask in gamma.choices.items():
-        v = poset.contexts[cid]
-        sets[cid] = frozenset(i for i in range(v.n_atoms) if mask >> i & 1)
-    return IntervalAssignment(sets)
+    return IntervalAssignment(dict(gamma.choices))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +268,7 @@ def ideal_valuation(psi, poset: ContextPoset) -> IntervalAssignment:
     sets = {}
     for cid in poset.ids():
         ctx = poset.contexts[cid]
-        mask = largest_annihilating_mask(psi, ctx)
-        sets[cid] = frozenset(i for i in range(ctx.n_atoms) if not mask >> i & 1)
+        sets[cid] = top(ctx).mask & ~largest_annihilating_mask(psi, ctx)
     return IntervalAssignment(sets)
 
 

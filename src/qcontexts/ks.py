@@ -9,18 +9,20 @@ search returning no section.
 
 from __future__ import annotations
 
-import json
+import os
 import time
-from importlib import resources
 from itertools import combinations, product
 
-from .contexts import Context, ContextPoset, SpectralFunctional, build_poset, restrict_functional
+from .contexts import (
+    DIM_BOUND,
+    Context,
+    ContextPoset,
+    SpectralFunctional,
+    build_poset,
+    restrict_functional,
+)
 from .linalg import Projector, ValidationError, read_json_file
 from .records import Record
-
-# Every poset holds the trivial context's exact dim x dim identity, so time
-# and memory grow as dim^2.
-DIM_BOUND = 32
 
 
 class RaySet:
@@ -140,17 +142,13 @@ def load_rayset(source) -> RaySet:
     if isinstance(source, dict):
         obj = source
     else:
-        name = str(source)
-        if "/" not in name and not name.endswith(".json"):
-            name = name + ".json"
-        if "/" in name:
-            obj = read_json_file(name)
-        else:
-            ref = resources.files("qcontexts.data") / name
-            if ref.is_file():
-                obj = json.loads(ref.read_text())
-            else:
-                obj = read_json_file(str(source))
+        path = str(source)
+        if "/" not in path:
+            fixture = os.path.join(os.path.dirname(__file__), "data",
+                                   path if path.endswith(".json") else path + ".json")
+            if os.path.isfile(fixture):
+                path = fixture
+        obj = read_json_file(path)
     if not isinstance(obj, dict):
         raise ValidationError("a ray set must be a JSON object")
     field = obj.get("field", "int")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import copysign, gcd, hypot, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     ExactComplex,
@@ -820,10 +820,6 @@ class EigenvalueFunction:
 
     def __init__(self, mapping: dict):
         self.mapping = dict(mapping)
-
-    @classmethod
-    def identity_on(cls, values: Iterable):
-        return cls({v: v for v in values})
 
     def at(self, lam, backend: str):
         if backend == "exact":

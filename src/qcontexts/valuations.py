@@ -1,10 +1,12 @@
 """Sieves, the subobject classifier on the context poset, and sieve-valued
 generalized valuations derived from quantum states.
 
-A sieve at a stage is a lower set of contexts below that stage. A valuation
-table assigns a sieve to every lattice element of every stage; the table
-built from a state puts a context into the sieve of a projector whenever the
-coarse-grained projector carries Born weight 1 (or at least r).
+A sieve at a stage is a lower set of contexts below that stage, stored as an
+int over the poset's context index: bit k stands for the k-th id of
+``poset.ids()``. Pullback to a lower stage is ``&`` with its down-set. A
+valuation table assigns a sieve to every lattice element of every stage; the
+table built from a state puts a context into the sieve of a projector
+whenever the coarse-grained projector carries Born weight 1 (or at least r).
 """
 
 from __future__ import annotations
@@ -12,53 +14,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coarse import LatticeElement, image_arrays, lattice_covers, lattice_size, top
-from .contexts import ContextPoset
+from .contexts import ContextPoset, _bits
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .records import Record
 from .scalars import QSqrt2
 
 
-class Sieve(Record):
-    """A lower set of contexts at and below a stage."""
-
-    __slots__ = ("stage", "members")
-
-    def __init__(self, stage: str, members: frozenset):
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def build(cls, stage: str, members, poset: ContextPoset) -> "Sieve":
-        members = frozenset(members)
-        below = set(poset.below(stage))
-        for m in members:
-            if m not in below:
-                raise ValidationError(f"sieve member {m} is not below stage {stage}")
-            for w in poset.below(m):
-                if w not in members:
-                    raise ValidationError("sieve is not a lower set")
-        return cls(stage, members)
-
-    def leq(self, other: "Sieve") -> bool:
-        if self.stage != other.stage:
-            raise ValidationError("sieves at different stages are incomparable")
-        return self.members <= other.members
+def _down_masks(poset: ContextPoset) -> dict:
+    """Each stage's principal sieve, as an int: bit k stands for the k-th id
+    of ``poset.ids()``."""
+    bit = {cid: 1 << k for k, cid in enumerate(poset.ids())}
+    return {cid: sum(bit[c] for c in poset.below(cid)) for cid in bit}
 
 
-def principal_sieve(poset: ContextPoset, stage: str) -> Sieve:
+def principal_sieve(poset: ContextPoset, stage: str) -> int:
     """The maximal truth value at a stage: every context below it."""
-    return Sieve(stage, frozenset(poset.below(stage)))
+    return _down_masks(poset)[stage]
 
 
-def empty_sieve(stage: str) -> Sieve:
-    return Sieve(stage, frozenset())
-
-
-def pullback(poset: ContextPoset, sieve: Sieve, target: str) -> Sieve:
-    """Restrict a sieve to a smaller stage: intersect with its down-set."""
-    if not poset.is_leq(target, sieve.stage):
-        raise ValidationError("pullback target is not below the sieve's stage")
-    return Sieve(target, sieve.members & set(poset.below(target)))
+def _names(ids, sieve: int) -> list:
+    """The sorted context ids of a sieve, given ``poset.ids()``."""
+    return [ids[k] for k in _bits(sieve)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +112,7 @@ def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTable
 
 
 def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPoset,
-                    r=1) -> Sieve:
+                    r=1) -> int:
     """Sieve of contexts where the coarse-grained element has weight >= r.
 
     With r = 1 this is the probability-one valuation; the lower-set property
@@ -147,32 +123,31 @@ def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPose
 
 class ValuationTable:
     """A total assignment of sieves to every lattice element of every stage,
-    with the presheaf tables its squares are checked against."""
+    with the presheaf tables its squares are checked against and each
+    stage's principal sieve (``down``)."""
 
-    __slots__ = ("tables", "poset", "maps")
+    __slots__ = ("tables", "poset", "maps", "down")
 
     def __init__(self, tables: PresheafTables, maps: dict):
         self.tables = tables
         self.poset = poset = tables.poset
+        # context id -> list of sieves indexed by mask
         self.maps = maps
+        self.down = _down_masks(poset)
         for cid in poset.ids():
             stage_map = maps.get(cid)
             if stage_map is None:
                 raise ValidationError(f"valuation table is missing stage {cid}")
-            n = poset.contexts[cid].n_atoms
-            for mask in range(1 << n):
-                s = stage_map.get(mask)
-                if s is None:
-                    raise ValidationError(f"table not total at stage {cid}")
-                if s.stage != cid:
-                    raise ValidationError("sieve stored under the wrong stage")
+            if len(stage_map) != 1 << poset.contexts[cid].n_atoms:
+                raise ValidationError(f"table not total at stage {cid}")
 
-    def sieve(self, elem: LatticeElement) -> Sieve:
+    def sieve(self, elem: LatticeElement) -> int:
         return self.maps[elem.context_id][elem.mask]
 
     def to_json(self) -> dict:
+        ids = self.poset.ids()
         return {
-            cid: {str(mask): sorted(s.members) for mask, s in sorted(stage.items())}
+            cid: {str(mask): _names(ids, s) for mask, s in enumerate(stage)}
             for cid, stage in self.maps.items()
         }
 
@@ -181,15 +156,26 @@ def valuation_table(tables: PresheafTables) -> ValuationTable:
     """Materialize the state-derived valuation over the whole poset. The
     sieve of a mask at stage cid holds the contexts below cid whose truth
     table holds at the mask's image there; the image of the reflexive pair
-    is the identity, so cid reads its own table."""
+    is the identity, so cid reads its own table. Raises `ValidationError`
+    if a sieve is not a lower set."""
     poset, truth, images = tables.poset, tables.truth, tables.images
+    ids = poset.ids()
+    bit = {cid: 1 << k for k, cid in enumerate(ids)}
     maps = {}
-    for cid in poset.ids():
-        rows = [(sub, truth[cid] if sub == cid else [truth[sub][q] for q in images[(sub, cid)]])
-                for sub in poset.below(cid)]
-        maps[cid] = {m: Sieve.build(cid, {sub for sub, row in rows if row[m]}, poset)
-                     for m in range(len(truth[cid]))}
-    return ValuationTable(tables, maps)
+    for cid in ids:
+        stage = [0] * len(truth[cid])
+        for sub in poset.below(cid):
+            row = truth[cid] if sub == cid else [truth[sub][q] for q in images[(sub, cid)]]
+            for m, holds in enumerate(row):
+                if holds:
+                    stage[m] |= bit[sub]
+        maps[cid] = stage
+    table = ValuationTable(tables, maps)
+    down = [table.down[cid] for cid in ids]
+    for s in {s for stage in maps.values() for s in stage}:
+        if any(down[k] & ~s for k in _bits(s)):
+            raise ValidationError("sieve is not a lower set")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +188,7 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
     """Per-axiom report: functional composition, null proposition,
     monotonicity, and (optionally) exclusivity and unit."""
     poset = table.poset
+    ids = poset.ids()
     report = {
         "functional_composition": {"ok": True, "counterexample": None},
         "null_proposition": {"ok": True, "counterexample": None},
@@ -218,13 +205,13 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
             "counterexample": {
                 "morphism": [sub, sup],
                 "mask": mask,
-                "valuation_of_coarse": sorted(assigned),
-                "pullback": sorted(pulled),
+                "valuation_of_coarse": _names(ids, assigned),
+                "pullback": _names(ids, pulled),
             },
         }
 
-    for cid in poset.ids():
-        if table.sieve(LatticeElement(cid, 0)).members:
+    for cid in ids:
+        if table.sieve(LatticeElement(cid, 0)):
             report["null_proposition"] = {
                 "ok": False,
                 "counterexample": {"stage": cid},
@@ -232,20 +219,20 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
             break
 
     if require_unit:
-        for cid in poset.ids():
+        for cid in ids:
             t = table.sieve(top(poset.contexts[cid]))
-            if t != principal_sieve(poset, cid):
+            if t != table.down[cid]:
                 report["unit_proposition"] = {
                     "ok": False,
-                    "counterexample": {"stage": cid, "sieve": sorted(t.members)},
+                    "counterexample": {"stage": cid, "sieve": _names(ids, t)},
                     "checked": True,
                 }
                 break
 
-    for cid in poset.ids():
+    for cid in ids:
         stage = table.maps[cid]
         cover = next(((p, q) for p, q in lattice_covers(poset.contexts[cid].n_atoms)
-                      if not stage[p].members <= stage[q].members), None)
+                      if stage[p] & ~stage[q]), None)
         if cover is not None:
             report["monotonicity"] = {
                 "ok": False,
@@ -254,9 +241,9 @@ def check_valuation(table: ValuationTable, require_exclusivity: bool = True,
             break
 
     if require_exclusivity:
-        for cid in poset.ids():
-            true_v = principal_sieve(poset, cid)
-            pair = _first_disjoint_pair(m for m, s in table.maps[cid].items() if s == true_v)
+        for cid in ids:
+            true_v = table.down[cid]
+            pair = _first_disjoint_pair(m for m, s in enumerate(table.maps[cid]) if s == true_v)
             if pair is not None:
                 report["exclusivity"] = {
                     "ok": False,
@@ -283,34 +270,34 @@ def natural_transformation_check(table: ValuationTable, maps: dict) -> dict:
     if square is None:
         return {"ok": True, "squares_checked": squares, "counterexample": None}
     sub, sup, mask, pulled, assigned = square
+    ids = table.poset.ids()
     return {
         "ok": False,
         "squares_checked": squares,
         "counterexample": {
             "morphism": [sub, sup],
             "mask": mask,
-            "pulled": sorted(pulled),
-            "assigned": sorted(assigned),
+            "pulled": _names(ids, pulled),
+            "assigned": _names(ids, assigned),
         },
     }
 
 
 def _first_failing_square(table: ValuationTable, images: dict):
     """Walk the squares (morphism sub < sup, element of sup) in order: each
-    commutes when the element's sieve pulled back to sub is the sieve of its
-    image ``images[(sub, sup)][mask]``. Returns the number of squares
-    visited and the first failing one, (sub, sup, mask, pulled, assigned)."""
-    poset = table.poset
+    commutes when the element's sieve pulled back to sub (ANDed with sub's
+    down-set) is the sieve of its image ``images[(sub, sup)][mask]``.
+    Returns the number of squares visited and the first failing one,
+    (sub, sup, mask, pulled, assigned)."""
     squares = 0
-    for sub, sup in poset.proper_pairs():
-        below_sub = set(poset.below(sub))
+    for sub, sup in table.poset.proper_pairs():
+        below_sub = table.down[sub]
         lower, upper = table.maps[sub], table.maps[sup]
-        for mask, image in enumerate(images[(sub, sup)]):
-            squares += 1
-            pulled = upper[mask].members & below_sub
-            assigned = lower[image].members
-            if pulled != assigned:
-                return squares, (sub, sup, mask, pulled, assigned)
+        img = images[(sub, sup)]
+        for mask, image in enumerate(img):
+            if upper[mask] & below_sub != lower[image]:
+                return squares + mask + 1, (sub, sup, mask, upper[mask] & below_sub, lower[image])
+        squares += len(img)
     return squares, None
 
 

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcontexts.contexts import Context, build_poset
+from qcontexts.contexts import Context, _bits, build_poset
 from qcontexts.linalg import DensityMatrix, HermitianOperator, Projector
 
 
@@ -37,6 +37,12 @@ def float_poset_json(seed: int, workdir: str) -> dict:
     path, _ = float_workload(seed, workdir)
     with open(path) as fh:
         return json.load(fh)
+
+
+def sieve_members(poset, sieve: int) -> frozenset:
+    """The context ids of a sieve: bit k is the k-th id of poset.ids()."""
+    ids = poset.ids()
+    return frozenset(ids[k] for k in _bits(sieve))
 
 
 def make_rng(seed: int) -> np.random.Generator:

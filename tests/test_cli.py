@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import float_workload
 
 from qcontexts.cli import main
+from qcontexts.contexts import DIM_BOUND
 from qcontexts.scalars import get_eps
 
 
@@ -44,6 +45,20 @@ def test_build_poset_empty_rays(tmp_path, capsys):
     code, out = run(capsys, "build-poset", "--rays", str(f))
     assert code == 0
     assert json.loads(out)["n_contexts"] == 1  # the trivial context only
+
+
+def test_empty_poset_and_empty_rays_give_the_trivial_poset(tmp_path, capsys):
+    posets = []
+    for flag, obj in [("--rays", {"dim": 3, "field": "int", "rays": []}),
+                      ("--poset", {"dim": 3, "contexts": []})]:
+        f = tmp_path / "empty.json"
+        f.write_text(json.dumps(obj))
+        code, out = run(capsys, "build-poset", flag, str(f))
+        assert code == 0
+        report = json.loads(out)
+        assert report["n_contexts"] == 1
+        posets.append(report["poset"])
+    assert posets[0] == posets[1]
 
 
 def test_malformed_basis_exits_2(tmp_path, capsys):
@@ -372,8 +387,12 @@ def test_any_ray_file_gives_exit_0_1_or_2(obj, command):
         {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, None]]},
         {"dim": 2, "re": [[0, 0], [0, 1]], "im": [[0, 0], [0, 0]]}]}]},
     {"dim": 1, "contexts": [{"atoms": [{"dim": 1, "re": [[10 ** 400]], "im": [[0]]}]}]},
+    # an empty poset builds the dim x dim identity, so dim is bounded first
+    {"dim": DIM_BOUND + 1, "contexts": []},
+    {"dim": 0, "contexts": []},
 ], ids=["top-level-list", "contexts-number", "atoms-number", "null-dim", "object-entry",
-        "string-and-bool-entries", "bool-entry", "null-entry", "overflow-entry"])
+        "string-and-bool-entries", "bool-entry", "null-entry", "overflow-entry",
+        "dim-above-bound", "zero-dim"])
 def test_malformed_poset_exits_2_with_one_error(tmp_path, capsys, poset):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(poset))

@@ -8,6 +8,7 @@ from conftest import make_rng, random_density, random_poset, random_pure
 from qcontexts.coarse import LatticeElement, element_projector, lattice
 from qcontexts.contexts import Context, all_coarsenings, build_poset, restrict_state
 from qcontexts.intervals import (
+    IntervalAssignment,
     ProjectorFamily,
     check_coarse_subobject,
     check_semantic_subobject,
@@ -30,7 +31,7 @@ from qcontexts.linalg import (
     apply_function,
     born_probability,
 )
-from qcontexts.valuations import presheaf_tables, principal_sieve, valuation_table
+from qcontexts.valuations import ValuationTable, presheaf_tables, valuation_table
 
 
 def diag_poset(d: int, backend: str = "exact"):
@@ -111,7 +112,33 @@ def test_interval_can_be_empty_for_thresholds():
     table = valuation_table(presheaf_tables(rho, poset, Fraction(1, 2)))
     assignment = interval_from_valuation(table, poset)
     # two disjoint true elements at the maximal stage force an empty infimum
-    assert assignment.sets[v.id] == frozenset()
+    assert assignment.sets[v.id] == 0
+
+
+def test_empty_true_set_has_the_zero_infimum():
+    v, poset = diag_poset(3)
+    table = valuation_table(presheaf_tables(DensityMatrix.maximally_mixed(3, "exact"), poset, 1))
+    # only the top element of the maximal stage has weight 1 there; with its
+    # sieve emptied, no element is valued at the principal sieve
+    maps = {cid: list(stage) for cid, stage in table.maps.items()}
+    maps[v.id][-1] = 0
+    broken = ValuationTable(table.tables, maps)
+    assert true_set(broken, v.id) == set()
+    assert interval_from_valuation(broken, poset).sets[v.id] == 0
+
+
+def test_spectral_subobject_reports_a_set_that_misses_the_image():
+    v, poset = diag_poset(3)
+    assignment = true_subobject(presheaf_tables(DensityMatrix.pure([1, 0, 0], "exact"), poset, 1))
+    e0 = atom_index(v, Projector.from_ray([1, 0, 0], "exact"))
+    assert assignment.sets[v.id] == 1 << e0
+    sub = next(s for s, t in poset.proper_pairs() if t == v.id
+               and poset.contexts[s].n_atoms == 2)
+    report = check_spectral_subobject(IntervalAssignment({**assignment.sets, sub: 0}), poset)
+    assert not report["ok"]
+    broken = [m for m in report["morphisms"] if not m["weak"]]
+    assert broken == [{"morphism": [sub, v.id], "weak": False, "strong": False,
+                       "image": [poset.restriction[(sub, v.id)][e0]], "target": []}]
 
 
 def test_true_set_contains_top_never_bottom():
@@ -305,7 +332,7 @@ def test_ideal_valuation_examples():
     v, poset = diag_poset(3)
     assignment = ideal_valuation([1, 0, 0], poset)
     e0 = atom_index(v, Projector.from_ray([1, 0, 0], "exact"))
-    assert assignment.sets[v.id] == frozenset({e0})
+    assert assignment.sets[v.id] == 1 << e0
     mask = largest_annihilating_mask([1, 0, 0], v)
     p12 = Projector.from_span([[0, 1, 0], [0, 0, 1]], "exact")
     assert element_projector(LatticeElement(v.id, mask), v) == p12
@@ -315,7 +342,7 @@ def test_ideal_valuation_no_annihilated_atoms():
     v, poset = diag_poset(2)
     psi = [Fraction(3, 5), Fraction(4, 5)]
     assignment = ideal_valuation(psi, poset)
-    assert assignment.sets[v.id] == frozenset({0, 1})
+    assert assignment.sets[v.id] == 0b11
     assert largest_annihilating_mask(psi, v) == 0
 
 

@@ -29,7 +29,6 @@ from qcontexts.intervals import (
 from qcontexts.ks import load_rayset, poset_from_rayset
 from qcontexts.linalg import DensityMatrix, Projector
 from qcontexts.valuations import (
-    Sieve,
     ValuationTable,
     check_valuation,
     natural_transformation_check,
@@ -80,9 +79,8 @@ def test_flipped_sieve_fails_composition_and_naturality():
     assert check_valuation(table)["ok"] and natural_transformation_check(table, rmaps)["ok"]
     # a two-atom stage sits above the bottom and below the maximal stage
     stage = next(cid for cid in poset.ids() if poset.contexts[cid].n_atoms == 2)
-    maps = {cid: dict(stage_map) for cid, stage_map in table.maps.items()}
-    flipped = maps[stage][1].members ^ {poset.bottom_id}
-    maps[stage][1] = Sieve(stage, flipped)
+    maps = {cid: list(stage_map) for cid, stage_map in table.maps.items()}
+    maps[stage][1] ^= 1 << poset.ids().index(poset.bottom_id)
     bad = ValuationTable(table.tables, maps)
     assert not check_valuation(bad)["functional_composition"]["ok"]
     assert not natural_transformation_check(bad, rmaps)["ok"]
@@ -141,7 +139,7 @@ def monotonicity_reference(table) -> bool:
         elems = lattice(table.poset.contexts[cid])
         for p in elems:
             for q in elems:
-                if p.leq(q) and not table.sieve(p).leq(table.sieve(q)):
+                if p.leq(q) and table.sieve(p) & ~table.sieve(q):
                     return False
     return True
 
@@ -173,13 +171,12 @@ def test_cover_checks_match_all_pairs_reference():
         family = probability_family(tables)
         ids = poset.ids()
         for trial in range(6):
-            maps = {cid: dict(stage_map) for cid, stage_map in table.maps.items()}
+            maps = {cid: list(stage_map) for cid, stage_map in table.maps.items()}
             masks = dict(family.masks)
             if trial:  # trial 0 checks the intact table and family
                 cid = ids[int(rng.integers(len(ids)))]
                 mask = int(rng.integers(1 << poset.contexts[cid].n_atoms))
-                maps[cid][mask] = (principal_sieve(poset, cid) if trial % 2
-                                   else Sieve(cid, frozenset()))
+                maps[cid][mask] = principal_sieve(poset, cid) if trial % 2 else 0
                 masks[cid] = masks[cid] ^ {mask}
             bad = ValuationTable(tables, maps)
             mono = check_valuation(bad)["monotonicity"]
@@ -188,7 +185,7 @@ def test_cover_checks_match_all_pairs_reference():
                 broken_tables += 1
                 cx = mono["counterexample"]
                 assert is_cover(cx["p"], cx["q"])
-                assert not maps[cx["stage"]][cx["p"]].leq(maps[cx["stage"]][cx["q"]])
+                assert maps[cx["stage"]][cx["p"]] & ~maps[cx["stage"]][cx["q"]]
             fam = ProjectorFamily(masks)
             semantic = check_semantic_subobject(fam, check_coarse_subobject(fam, tables), poset)
             upper = semantic["monotonicity"]

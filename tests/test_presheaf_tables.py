@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import float_workload, make_rng, random_density, random_poset
+from conftest import float_workload, make_rng, random_density, random_poset, sieve_members
 
 from qcontexts import coarse
 from qcontexts.cli import main
@@ -42,7 +42,6 @@ from qcontexts.ks import load_rayset, poset_from_rayset
 from qcontexts.linalg import DensityMatrix, ValidationError, get_eps
 from qcontexts.scalars import QSqrt2
 from qcontexts.valuations import (
-    Sieve,
     ValuationTable,
     check_valuation,
     natural_transformation_check,
@@ -79,34 +78,45 @@ def _at_least(value, r, backend: str) -> bool:
     return float(value) >= float(r) - get_eps()
 
 
+def sieve_sets(table):
+    """The table's sieves as sets of context ids, by stage and mask."""
+    return {cid: [sieve_members(table.poset, s) for s in stage]
+            for cid, stage in table.maps.items()}
+
+
 def valuation_table_reference(rho, poset, r):
-    """The sieves of every stage: one sieve per element, one weight decision
-    per square."""
+    """The sieves of every stage, as sets of context ids: one sieve per
+    element, one weight decision per square, each sieve checked to be a
+    lower set."""
     weights = stage_weights(rho, poset)
     maps = {}
     for cid in poset.ids():
-        stage_map = {}
+        stage_map = []
         for elem in lattice(poset.contexts[cid]):
-            members = set()
+            sieve = set()
             for sub in poset.below(cid):
                 coarse = coarse_grain(poset, elem, sub)
                 if _at_least(_mask_weight(weights[sub], coarse.mask), r, poset.backend):
-                    members.add(sub)
-            stage_map[elem.mask] = Sieve.build(cid, members, poset)
+                    sieve.add(sub)
+            if any(w not in sieve for m in sieve for w in poset.below(m)):
+                raise ValidationError("sieve is not a lower set")
+            stage_map.append(frozenset(sieve))
         maps[cid] = stage_map
     return maps
 
 
 def first_failing_square_reference(table, restriction):
-    """(squares visited, first failing (sub, sup, mask, pulled, assigned))."""
+    """(squares visited, first failing (sub, sup, mask, pulled, assigned)),
+    on sieves as sets of context ids."""
     poset = table.poset
     squares = 0
     for sub, sup in poset.proper_pairs():
         below_sub = set(poset.below(sub))
         for mask in range(1 << poset.contexts[sup].n_atoms):
             squares += 1
-            pulled = table.maps[sup][mask].members & below_sub
-            assigned = table.maps[sub][image_mask(restriction[(sub, sup)], mask)].members
+            pulled = sieve_members(poset, table.maps[sup][mask]) & below_sub
+            image = image_mask(restriction[(sub, sup)], mask)
+            assigned = sieve_members(poset, table.maps[sub][image])
             if pulled != assigned:
                 return squares, (sub, sup, mask, pulled, assigned)
     return squares, None
@@ -200,8 +210,8 @@ def flipped(table, rng):
     mask = int(rng.integers(1 << poset.contexts[cid].n_atoms))
     below = poset.below(cid)
     member = below[int(rng.integers(len(below)))]
-    maps = {c: dict(stage_map) for c, stage_map in table.maps.items()}
-    maps[cid][mask] = Sieve(cid, maps[cid][mask].members ^ {member})
+    maps = {c: list(stage_map) for c, stage_map in table.maps.items()}
+    maps[cid][mask] ^= 1 << ids.index(member)
     return ValuationTable(table.tables, maps)
 
 
@@ -280,12 +290,12 @@ def test_tables_and_reports_match_references(name):
     for r in THRESHOLDS:
         tables = presheaf_tables(rho, poset, r)
         table = valuation_table(tables)
-        assert table.maps == valuation_table_reference(rho, poset, r)
+        assert sieve_sets(table) == valuation_table_reference(rho, poset, r)
         variants = [("intact", table), ("flipped", flipped(table, rng))]
         tables_bad = None if bad is None else presheaf_tables(rho, bad, r)
         if bad is not None:
             # on the rotated map a sieve may stop being a lower set; then both raise
-            assert (built_or_error(lambda: valuation_table(tables_bad).maps)
+            assert (built_or_error(lambda: sieve_sets(valuation_table(tables_bad)))
                     == built_or_error(lambda: valuation_table_reference(rho, bad, r)))
             variants.append(("rotated", ValuationTable(tables_bad, table.maps)))
         for variant, t in variants:
@@ -328,7 +338,8 @@ def test_sieve_and_family_share_truth_tables(name):
         family = probability_family(tables)
         for cid in poset.ids():
             for m in range(1 << poset.contexts[cid].n_atoms):
-                assert (cid in table.maps[cid][m].members) == (m in family.masks[cid])
+                in_sieve = cid in sieve_members(poset, table.maps[cid][m])
+                assert in_sieve == (m in family.masks[cid])
 
 
 def test_image_masks_match_image_mask():

@@ -15,7 +15,7 @@ from qcontexts.intervals import CoarseGlobalElement, IntervalAssignment, Project
 from qcontexts.ks import CompiledProblem, SectionAssignment
 from qcontexts.linalg import ValidationError
 from qcontexts.scalars import QSqrt2
-from qcontexts.valuations import PresheafTables, Sieve
+from qcontexts.valuations import PresheafTables
 
 POSET = build_poset([Context.trivial(2, "exact")])
 
@@ -30,13 +30,12 @@ def records():
         (SpectralFunctional, ("context_id", "index"), lambda: ("c", 1)),
         (StateOnContext, ("context_id", "weights"),
          lambda: ("c", (Fraction(1, 2), QSqrt2(Fraction(1, 2))))),
-        (IntervalAssignment, ("sets",), lambda: ({"c": frozenset({0})},)),
+        (IntervalAssignment, ("sets",), lambda: ({"c": 0b1},)),
         (ProjectorFamily, ("masks",), lambda: ({"c": frozenset({1, 3})},)),
         (CoarseGlobalElement, ("choices",), lambda: ({"c": 1},)),
         (CompiledProblem, ("maximal_ids", "slot_ids", "natoms", "constraints"),
          lambda: (("m",), ("s",), (2,), (((0, (0, 0)),),))),
         (SectionAssignment, ("choices",), lambda: ({"c": 0},)),
-        (Sieve, ("stage", "members"), lambda: ("c", frozenset({"b", "c"}))),
         (PresheafTables, ("poset", "weights", "truth", "images"),
          lambda: (POSET, {"c": (1,)}, {"c": [False, True]}, {})),
     ]
@@ -110,7 +109,7 @@ def test_records_of_different_classes_differ():
 def test_records_differ_when_a_field_differs():
     assert LatticeElement("c", 1) != LatticeElement("c", 2)
     assert LatticeElement("c", 1) != LatticeElement("d", 1)
-    assert Sieve("c", frozenset({"c"})) != Sieve("c", frozenset())
+    assert IntervalAssignment({"c": 0b1}) != IntervalAssignment({"c": 0})
     assert LatticeElement("c", 1) != ("c", 1)
 
 

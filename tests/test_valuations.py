@@ -3,20 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_density, random_poset
+from conftest import make_rng, random_density, random_poset, sieve_members
 
 from qcontexts.coarse import LatticeElement, lattice, projector_restrictions, top
 from qcontexts.contexts import Context, all_coarsenings, build_poset
 from qcontexts.linalg import DensityMatrix, Projector, ValidationError
 from qcontexts.valuations import (
-    Sieve,
     ValuationTable,
     check_valuation,
-    empty_sieve,
     natural_transformation_check,
     principal_sieve,
     presheaf_tables,
-    pullback,
     state_valuation,
     valuation_table,
 )
@@ -36,12 +33,10 @@ def mask_of(v: Context, proj: Projector) -> int:
     return mask
 
 
-def test_sieve_build_rejects_non_lower_sets():
+def test_principal_sieve_is_the_down_set():
     _, poset = diag_poset(3)
-    stage = max(poset.ids(), key=lambda c: poset.contexts[c].n_atoms)
-    members = set(poset.below(stage)) - {poset.bottom_id}
-    with pytest.raises(ValidationError):
-        Sieve.build(stage, members, poset)  # missing the bottom: not lower
+    for stage in poset.ids():
+        assert sieve_members(poset, principal_sieve(poset, stage)) == set(poset.below(stage))
 
 
 def test_pullback_intersects_downset():
@@ -49,8 +44,23 @@ def test_pullback_intersects_downset():
     stage = max(poset.ids(), key=lambda c: poset.contexts[c].n_atoms)
     s = principal_sieve(poset, stage)
     for target in poset.below(stage):
-        t = pullback(poset, s, target)
+        t = s & principal_sieve(poset, target)
         assert t == principal_sieve(poset, target)
+
+
+def test_all_zero_image_array_is_not_a_lower_set():
+    """A mutant image array that sends every element of the maximal stage
+    to the zero element of a two-atom stage below it. That stage drops out
+    of every sieve at the maximal stage, so the sieve of the top element
+    holds the maximal stage but not a context below it."""
+    _, poset = diag_poset(3)
+    stage = max(poset.ids(), key=lambda c: poset.contexts[c].n_atoms)
+    sub = next(c for c in poset.below(stage) if poset.contexts[c].n_atoms == 2)
+    tables = presheaf_tables(DensityMatrix.maximally_mixed(3, "exact"), poset, 1)
+    valuation_table(tables)
+    tables.images[(sub, stage)] = [0] * len(tables.images[(sub, stage)])
+    with pytest.raises(ValidationError, match="sieve is not a lower set"):
+        valuation_table(tables)
 
 
 def test_probability_one_valuation_pure_state():
@@ -69,9 +79,9 @@ def test_probability_one_valuation_pure_state():
     sieve1 = state_valuation(rho, LatticeElement(v.id, mask_of(v, p1)), poset)
     p01 = Projector.from_span([[1, 0, 0], [0, 1, 0]], "exact")
     merged = Context([p01, Projector.from_ray([0, 0, 1], "exact")])
-    assert sieve1.members == {merged.id, poset.bottom_id}
+    assert sieve_members(poset, sieve1) == {merged.id, poset.bottom_id}
     # while at its own stage the atom is false (not in the sieve)
-    assert v.id not in sieve1.members
+    assert v.id not in sieve_members(poset, sieve1)
 
 
 def test_probability_one_valuation_partial_sieve():
@@ -93,7 +103,7 @@ def test_probability_one_valuation_partial_sieve():
             total = total.plus(a)
         if p01.leq(total) or total.rank == 3:
             expected.add(cid)
-    assert {cid for cid in sieve.members} == {
+    assert sieve_members(poset, sieve) == {
         cid for cid in expected
         if float(sum((rho.matrix @ a.matrix).real_trace()
                      for a in poset.contexts[cid].atoms
@@ -192,14 +202,14 @@ def test_null_failure_does_not_hide_unit_failures():
     table = valuation_table(presheaf_tables(DensityMatrix.maximally_mixed(3, "float"), poset, 1))
     ids = poset.ids()
     first, last = ids[0], ids[-1]
-    maps = {cid: dict(stage_map) for cid, stage_map in table.maps.items()}
-    maps[first][0] = Sieve(first, frozenset({first}))
-    maps[last][(1 << poset.contexts[last].n_atoms) - 1] = empty_sieve(last)
+    maps = {cid: list(stage_map) for cid, stage_map in table.maps.items()}
+    maps[first][0] = 1 << ids.index(first)
+    maps[last][(1 << poset.contexts[last].n_atoms) - 1] = 0
     report = check_valuation(ValuationTable(table.tables, maps))
     assert report["null_proposition"] == {"ok": False, "counterexample": {"stage": first}}
     assert report["unit_proposition"] == {
         "ok": False, "counterexample": {"stage": last, "sieve": []}, "checked": True}
     # with two stages failing unit, the first is reported
-    maps[ids[1]][(1 << poset.contexts[ids[1]].n_atoms) - 1] = empty_sieve(ids[1])
+    maps[ids[1]][(1 << poset.contexts[ids[1]].n_atoms) - 1] = 0
     report = check_valuation(ValuationTable(table.tables, maps))
     assert report["unit_proposition"]["counterexample"]["stage"] == ids[1]
