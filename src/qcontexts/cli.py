@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import coarse, contexts, intervals, ks, valuations
 from .linalg import DensityMatrix, ValidationError, read_json_file
@@ -111,8 +112,70 @@ def _presheaf_tables(args, poset) -> valuations.PresheafTables:
     return valuations.presheaf_tables(rho, poset, r)
 
 
+_INF = float("inf")
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, for the
+    values reports hold: dicts with str keys, lists, str, int, float, bool
+    and None. Any other value raises TypeError. With an indent, json.dumps
+    falls back to its pure-Python encoder, a chain of generators with
+    isinstance tests and a cycle check; this one writes the same text
+    faster."""
+    out = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, pad: str) -> None:
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is float:
+        if obj != obj:
+            out.append("NaN")
+        elif obj == _INF:
+            out.append("Infinity")
+        elif obj == -_INF:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + " "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + " "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=1)
+    text = _json_text(report)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

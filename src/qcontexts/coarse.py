@@ -8,7 +8,7 @@ atoms) is used in production with the brute-force infimum kept as an oracle.
 
 from __future__ import annotations
 
-from .contexts import Context, ContextPoset, SpectralFunctional, restriction_map
+from .contexts import Context, ContextPoset, SpectralFunctional
 from .linalg import HermitianOperator, Projector, ValidationError
 from .records import Record
 
@@ -136,13 +136,25 @@ def projector_restrictions(poset: ContextPoset) -> dict:
     """The atom map of every proper pair, recomputed from the projector
     order instead of read from ``poset.restriction``: the route by which
     the checks of naturality and of the clopen action test those tables.
-    A command computes it once and passes it to both."""
+    A command computes it once and passes it to both.
+
+    Each distinct pair of atoms, by canonical key, is decided once."""
+    under = {}  # (key_bytes of a, key_bytes of b) -> a <= b
     out = {}
     for sub, sup in poset.proper_pairs():
-        rmap = restriction_map(poset.contexts[sub], poset.contexts[sup])
-        if rmap is None:
-            raise ValidationError(f"context {sub} is not below {sup} in the projector order")
-        out[(sub, sup)] = rmap
+        lower = poset.contexts[sub].atoms
+        rmap = []
+        for a in poset.contexts[sup].atoms:
+            for j, b in enumerate(lower):
+                pair = a.key_bytes, b.key_bytes
+                if pair not in under:
+                    under[pair] = a.leq(b)
+                if under[pair]:
+                    rmap.append(j)
+                    break
+            else:
+                raise ValidationError(f"context {sub} is not below {sup} in the projector order")
+        out[(sub, sup)] = tuple(rmap)
     return out
 
 

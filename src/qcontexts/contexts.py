@@ -9,7 +9,6 @@ functional per atom) and the state presheaf (per-atom weights).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from fractions import Fraction
@@ -28,6 +27,16 @@ from .linalg import (
 )
 from .records import Record
 from .scalars import QSqrt2
+
+# CPython's built-in sha256 (``_sha2`` from 3.12 on) gives hashlib's digest
+# without loading OpenSSL's ``_hashlib``, a few milliseconds of every start.
+try:
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # Every poset holds the trivial context's dim x dim identity, so time
 # and memory grow as dim^2.
@@ -61,7 +70,7 @@ class Context:
         self.dim = dim
         self.backend = backend
         self.atoms = tuple(atoms)
-        h = hashlib.sha256()
+        h = _sha256()
         for a in self.atoms:
             h.update(a.key_bytes)
         self.id = h.hexdigest()[:16]
@@ -445,11 +454,12 @@ class _AtomTable:
     """The distinct atoms of one poset build and their pairwise relations.
 
     Atoms are interned by canonical key. A new atom's relations to every
-    atom seen so far are decided once per pair, with ``Projector.orthogonal_to``
+    earlier atom are decided once per pair, with ``Projector.orthogonal_to``
     and at most one ``Projector.leq``, and kept as int bitmasks over atom
     indices: ``above[i]`` holds the atoms >= atom i, ``overlap[i]`` the
-    atoms not orthogonal to atom i. A context is then the tuple of its
-    atoms' indices, in its own atom order (its "row").
+    atoms not orthogonal to atom i. Each atom is in both of its own masks
+    by definition, not by a test with a tolerance. A context is then the
+    tuple of its atoms' indices, in its own atom order (its "row").
     """
 
     __slots__ = ("index", "atoms", "above", "overlap")
@@ -467,13 +477,20 @@ class _AtomTable:
         i = len(self.atoms)
         self.index[p.canonical_key] = i
         self.atoms.append(p)
-        self.above.append(0)
-        self.overlap.append(0)
-        for j, q in enumerate(self.atoms):
+        self.above.append(1 << i)
+        self.overlap.append(1 << i)
+        exact = p.backend == "exact"
+        for j, q in enumerate(self.atoms[:i]):
             if p.orthogonal_to(q):
                 continue
             self.overlap[i] |= 1 << j
             self.overlap[j] |= 1 << i
+            # Distinct exact keys are distinct projectors, and of two
+            # distinct projectors of equal rank neither lies under the
+            # other. Float keys round at 1e-6 while leq allows 1e-8 on the
+            # trace, so float atoms of equal rank are still tested.
+            if exact and p.rank == q.rank:
+                continue
             # P <= Q needs rank P <= rank Q, and at equal ranks P <= Q iff
             # Q <= P (both read tr(PQ) = rank): one order test decides both
             lo, hi = (i, j) if p.rank <= q.rank else (j, i)

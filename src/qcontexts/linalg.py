@@ -11,11 +11,11 @@ eigenvalues only as hints that it then verifies exactly.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import copysign, gcd, hypot, lcm
 from operator import add, mul, sub
-from typing import Sequence
 
 from .scalars import (
     ExactComplex,
@@ -520,8 +520,10 @@ class Projector:
         return _trace_is(self, other, 0)
 
     def leq(self, other: "Projector") -> bool:
-        """Subspace order: P <= Q, decided via tr(PQ) = tr(P)."""
-        return _trace_is(self, other, self.rank)
+        """Subspace order: P <= Q, decided via tr(PQ) = tr(P). Equal
+        projectors (equal canonical keys, as in ``__eq__``) need no test:
+        within the float tolerance tr(PP) can miss rank P."""
+        return self.key_bytes == other.key_bytes or _trace_is(self, other, self.rank)
 
     def is_zero(self) -> bool:
         return self.rank == 0

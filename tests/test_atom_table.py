@@ -68,6 +68,57 @@ def test_fixture_posets_match_reference(name, pairs, coarsenings):
     assert_same_poset(new, ref)
 
 
+@pytest.mark.parametrize("name, pairs, coarsenings",
+                         list(product(FIXTURES, [False, True], [False, True])))
+def test_fixture_atom_masks_match_the_predicates(name, pairs, coarsenings):
+    # exact atoms of equal rank are never order-tested: distinct keys are
+    # distinct projectors, so neither lies under the other
+    table = contexts._AtomTable()
+    for v in load(name, pairs, coarsenings).contexts.values():
+        table.row(v)
+    for i, p in enumerate(table.atoms):
+        for j, q in enumerate(table.atoms):
+            assert (table.above[i] >> j & 1) == p.leq(q), (name, i, j)
+            assert (table.overlap[i] >> j & 1) == (not p.orthogonal_to(q)), (name, i, j)
+
+
+def diag_atom(dim, k, value=1.0):
+    re = [[value if i == j == k else 0 for j in range(dim)] for i in range(dim)]
+    return {"dim": dim, "re": re, "im": [[0] * dim for _ in range(dim)]}
+
+
+# tr(PP) - rank P = 1.8e-8 > 10 eps for the first atom, so a tolerance test
+# of P <= P fails; its trace, 1 + 9e-9, still passes projector validation
+NEAR_ONE = 1.000000009
+SELF_ORDER_POSETS = [
+    {"dim": 2, "contexts": [{"atoms": [diag_atom(2, 0, NEAR_ONE), diag_atom(2, 1)]}]},
+    # the same atom in a context and in its coarsening: the projector maps
+    # must send it to itself
+    {"dim": 3, "contexts": [
+        {"atoms": [diag_atom(3, 0, NEAR_ONE), diag_atom(3, 1), diag_atom(3, 2)]},
+        {"atoms": [diag_atom(3, 0, NEAR_ONE),
+                   {"dim": 3, "re": [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    "im": [[0] * 3 for _ in range(3)]}]}]},
+]
+
+
+@pytest.mark.parametrize("obj", SELF_ORDER_POSETS, ids=["dim2", "dim3-coarsening"])
+def test_float_context_is_below_itself(tmp_path, capsys, obj):
+    poset = ContextPoset.from_json(obj)
+    assert len(poset) == len(obj["contexts"]) + 1
+    assert all(poset.is_leq(cid, cid) for cid in poset.ids())
+    assert all(contexts.is_subalgebra(v, v) for v in poset.contexts.values())
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(obj))
+    code = cli.main(["verify-axioms", "--poset", str(path), "--state", "basis-0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["ok"], report
+    # the section validator restricts through the projector order too
+    code = cli.main(["ks-check", "--poset", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["section_validates"], report
+
+
 @st.composite
 def integer_ray_files(draw):
     dim = draw(st.integers(2, 3))

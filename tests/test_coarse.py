@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import context_from_columns, make_rng, random_poset, random_unitary
+from conftest import context_from_columns, float_poset_json, make_rng, random_poset, random_unitary
 
 from qcontexts.coarse import (
     LatticeElement,
@@ -154,6 +154,22 @@ def test_clopen_iso_on_random_posets():
         poset = random_poset(make_rng(seed + 300), 3)
         report = clopen_iso_check(poset, projector_restrictions(poset))
         assert report["ok"], report
+
+
+def test_projector_restrictions_decide_each_atom_pair_once(tmp_path, monkeypatch):
+    poset = ContextPoset.from_json(float_poset_json(501, str(tmp_path)))
+    asked = []
+    leq = Projector.leq
+
+    def counting_leq(self, other):
+        asked.append((self.key_bytes, other.key_bytes))
+        return leq(self, other)
+
+    monkeypatch.setattr(Projector, "leq", counting_leq)
+    maps = projector_restrictions(poset)
+    # 7,180 calls for these 995 distinct pairs before the memo
+    assert len(asked) == len(set(asked)) == 995
+    assert maps == {pair: poset.restriction[pair] for pair in poset.proper_pairs()}
 
 
 def test_clopen_iso_detects_corrupted_maps():

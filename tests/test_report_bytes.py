@@ -11,7 +11,9 @@ the float backend, `build-poset --poset` its `to_json`, and `build-poset
 files sit at fixed relative paths, because the config embeds them. In
 SIGNED_ZERO an atom is written once with 0.0 and once with -0.0, and the
 second context, with the same id as the first, replaces it: its -0.0
-entries must reach the report.
+entries must reach the report. Each report is also compared with
+``json.dumps(report, sort_keys=True, indent=1)``, which the CLI's own
+emitter replaces.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import json
 
 import pytest
 
+from qcontexts import cli
 from qcontexts.cli import main
 
 POSET = "peres33_pairs_poset.json"
@@ -65,14 +68,30 @@ def report_id(argv):
     return " ".join(argv[:3] if SIGNED_ZERO in argv else argv[:2])
 
 
-@pytest.mark.parametrize("argv, digest", REPORTS, ids=[report_id(a) for a, _ in REPORTS])
-def test_default_report_bytes(tmp_path, capsys, monkeypatch, argv, digest):
-    monkeypatch.chdir(tmp_path)
+def write_posets(tmp_path, capsys, argv):
     if POSET in argv:
         code, out = run(capsys, ["build-poset", "--rays", "peres33", "--pairs"])
         assert code == 0
         (tmp_path / POSET).write_text(json.dumps(json.loads(out)["poset"]))
     (tmp_path / SIGNED_ZERO).write_text(json.dumps(SIGNED_ZERO_JSON))
+
+
+@pytest.mark.parametrize("argv, digest", REPORTS, ids=[report_id(a) for a, _ in REPORTS])
+def test_default_report_bytes(tmp_path, capsys, monkeypatch, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    write_posets(tmp_path, capsys, argv)
     code, out = run(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in REPORTS], ids=[report_id(a) for a, _ in REPORTS])
+def test_report_emitter_equals_json_dumps(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_posets(tmp_path, capsys, argv)
+    reports = []
+    emit_text = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: reports.append(obj) or emit_text(obj))
+    code, out = run(capsys, argv)
+    assert code == 0 and len(reports) == 1
+    assert out == json.dumps(reports[0], sort_keys=True, indent=1) + "\n"
