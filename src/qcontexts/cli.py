@@ -32,13 +32,17 @@ def _load_poset(args) -> contexts.ContextPoset:
     if args.rays:
         if getattr(args, "eps", None) is not None:
             raise ValidationError("--eps does not apply to --rays: ray sets are exact")
+        if args.coarsenings and not args.close:
+            raise ValidationError("--no-close does not apply to --coarsenings: "
+                                  "the coarsenings are not closed under meets")
         rs = ks.load_rayset(args.rays)
-        poset = ks.poset_from_rayset(rs, close=args.close, include_pairs=args.pairs)
+        # a meet lies below both of its arguments, so closing the ray poset
+        # would not change the maximal contexts that --coarsenings reads
+        poset = ks.poset_from_rayset(rs, close=args.close and not args.coarsenings,
+                                     include_pairs=args.pairs)
         if args.coarsenings:
-            gens = []
-            for cid in poset.maximal_ids():
-                gens.extend(contexts.all_coarsenings(poset.contexts[cid]))
-            poset = contexts.build_poset(gens)
+            poset = contexts.build_poset(
+                [poset.contexts[cid] for cid in poset.maximal_ids()], coarsenings=True)
         return poset
     raise ValidationError("no input: pass --rays or --poset")
 

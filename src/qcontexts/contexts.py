@@ -9,7 +9,6 @@ functional per atom) and the state presheaf (per-atom weights).
 
 from __future__ import annotations
 
-import json
 import struct
 from fractions import Fraction
 from itertools import combinations
@@ -82,9 +81,6 @@ class Context:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def is_trivial(self) -> bool:
-        return self.n_atoms == 1
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.id == other.id
@@ -308,13 +304,17 @@ def meet(v1: Context, v2: Context) -> Context:
 COARSENING_ATOM_BOUND = 7
 
 
-def all_coarsenings(v: Context):
-    """Every context coarser than v (all merges of its atoms), incl. v itself."""
+def _check_coarsening_bound(v: Context) -> None:
     if v.n_atoms > COARSENING_ATOM_BOUND:
         raise ValidationError(
             f"context has {v.n_atoms} atoms; coarsenings are enumerated up to "
             f"{COARSENING_ATOM_BOUND}"
         )
+
+
+def all_coarsenings(v: Context):
+    """Every context coarser than v (all merges of its atoms), incl. v itself."""
+    _check_coarsening_bound(v)
     return [
         Context([_block_atom(v.atoms, block) for block in part], validate=False)
         for part in _set_partitions(list(range(v.n_atoms)))
@@ -377,11 +377,8 @@ class ContextPoset:
         return self._proper_pairs
 
     def maximal_ids(self):
-        tops = []
-        for cid in self.ids():
-            if not any(cid != other and self.is_leq(cid, other) for other in self.contexts):
-                tops.append(cid)
-        return tops
+        covered = {sub for sub, _ in self._proper_pairs}
+        return [cid for cid in self.ids() if cid not in covered]
 
     def to_json(self) -> dict:
         return {
@@ -422,13 +419,16 @@ class ContextPoset:
 
 
 def build_poset(generators, close_under_meet: bool = False, dim: int | None = None,
-                backend: str = "float") -> ContextPoset:
+                backend: str = "float", coarsenings: bool = False) -> ContextPoset:
     """Assemble a poset from generator contexts.
 
     Deduplicates (a later generator with a given id replaces an earlier one,
     and the trivial context replaces any generator equal to it), always adds
     the trivial context, optionally closes under pairwise meets to a fixed
     point, then computes the full order relation and the restriction maps.
+    With ``coarsenings`` the generators are replaced by every coarsening of
+    each (the contexts of ``all_coarsenings``), and a generator with more
+    than ``COARSENING_ATOM_BOUND`` atoms is refused before any is built.
     Every one of these decisions is read from one ``_AtomTable``.
     """
     if generators:
@@ -436,15 +436,22 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
         backend = generators[0].backend
     elif dim is None:
         raise ValidationError("empty generator list; pass dim")
-    contexts = {}
     for g in generators:
         if g.dim != dim or g.backend != backend:
             raise ValidationError("generators disagree on dim or backend")
-        contexts[g.id] = g
+    table = _AtomTable()
+    if coarsenings:
+        for g in generators:
+            _check_coarsening_bound(g)
+        contexts, rows = _coarsenings(generators, table)
+    else:
+        contexts = {g.id: g for g in generators}
+        rows = {}
     triv = Context.trivial(dim, backend)
     contexts[triv.id] = triv
-    table = _AtomTable()
-    rows = {cid: table.row(v) for cid, v in contexts.items()}
+    for cid, v in contexts.items():
+        if cid not in rows:
+            rows[cid] = table.row(v)
     if close_under_meet:
         _close_under_meet(contexts, rows, table)
     return _ordered_poset(contexts, rows, table, triv.id)
@@ -453,13 +460,17 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
 class _AtomTable:
     """The distinct atoms of one poset build and their pairwise relations.
 
-    Atoms are interned by canonical key. A new atom's relations to every
-    earlier atom are decided once per pair, with ``Projector.orthogonal_to``
-    and at most one ``Projector.leq``, and kept as int bitmasks over atom
-    indices: ``above[i]`` holds the atoms >= atom i, ``overlap[i]`` the
-    atoms not orthogonal to atom i. Each atom is in both of its own masks
-    by definition, not by a test with a tolerance. A context is then the
-    tuple of its atoms' indices, in its own atom order (its "row").
+    Atoms are interned by canonical key and their relations kept as int
+    bitmasks over atom indices: ``above[i]`` holds the atoms >= atom i,
+    ``overlap[i]`` the atoms not orthogonal to atom i. Each atom is in both
+    of its own masks by definition, not by a test with a tolerance. A
+    context is then the tuple of its atoms' indices, in its own atom order
+    (its "row").
+
+    ``intern`` decides a new atom's relations to every earlier atom once per
+    pair, with ``Projector.orthogonal_to`` and at most one
+    ``Projector.leq``. ``intern_sum`` derives an exact sum of atoms of an
+    interned context from its parts' bits, with no trace (see there).
     """
 
     __slots__ = ("index", "atoms", "above", "overlap")
@@ -470,15 +481,19 @@ class _AtomTable:
         self.above = []
         self.overlap = []
 
+    def _add(self, p: Projector, above: int, overlap: int) -> int:
+        i = len(self.atoms)
+        self.index[p.canonical_key] = i
+        self.atoms.append(p)
+        self.above.append(above | 1 << i)
+        self.overlap.append(overlap | 1 << i)
+        return i
+
     def intern(self, p: Projector) -> int:
         i = self.index.get(p.canonical_key)
         if i is not None:
             return i
-        i = len(self.atoms)
-        self.index[p.canonical_key] = i
-        self.atoms.append(p)
-        self.above.append(1 << i)
-        self.overlap.append(1 << i)
+        i = self._add(p, 0, 0)
         exact = p.backend == "exact"
         for j, q in enumerate(self.atoms[:i]):
             if p.orthogonal_to(q):
@@ -500,6 +515,33 @@ class _AtomTable:
                     self.above[hi] |= 1 << lo
         return i
 
+    def intern_sum(self, p: Projector, block: int, rest: int) -> int:
+        """Intern p, the sum of the atoms in mask ``block`` of an interned
+        context whose other atoms are the mask ``rest``.
+
+        An exact p takes its relations from its parts'. Each tr(PᵢX) is
+        >= 0, so p overlaps X iff some part does; p <= X iff every part is;
+        and X <= p iff X is orthogonal to I - p, the sum of ``rest``. A
+        rounded float sum is not exactly the sum of its parts, so a float p
+        is interned by its traces.
+        """
+        if p.backend != "exact":
+            return self.intern(p)
+        i = self.index.get(p.canonical_key)
+        if i is not None:
+            return i
+        above, overlap = -1, 0
+        for b in _bits(block):
+            above &= self.above[b]
+            overlap |= self.overlap[b]
+        i = self._add(p, above, overlap)
+        bit = 1 << i
+        for j in _bits(overlap):
+            self.overlap[j] |= bit
+            if not self.overlap[j] & rest:
+                self.above[j] |= bit
+        return i
+
     def row(self, v: Context) -> tuple:
         return tuple(self.intern(a) for a in v.atoms)
 
@@ -516,6 +558,43 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _coarsenings(generators, table: _AtomTable):
+    """Every coarsening of each generator, in ``all_coarsenings`` order, as
+    contexts and rows keyed by id. As with generators, a later partition
+    with the atoms of an earlier one replaces it, and a context is built
+    once per distinct set of atoms.
+
+    The generators' atoms are interned first, so each is traced against
+    the other generators' atoms only; then each block sum is built once per
+    generator and interned through ``intern_sum``, with no trace.
+    """
+    latest = {}  # atom mask -> the atoms of the last partition with them
+    for v, row in [(v, table.row(v)) for v in generators]:
+        whole = _mask(row)
+        sums = {}
+        for part in _set_partitions(list(range(v.n_atoms))):
+            atoms, mask = [], 0
+            for block in part:
+                if len(block) == 1:
+                    atom, idx = v.atoms[block[0]], row[block[0]]
+                else:
+                    key = tuple(block)
+                    if key not in sums:
+                        atom = _block_atom(v.atoms, block)
+                        bits = _mask(row[k] for k in block)
+                        sums[key] = atom, table.intern_sum(atom, bits, whole & ~bits)
+                    atom, idx = sums[key]
+                atoms.append(atom)
+                mask |= 1 << idx
+            latest[mask] = atoms
+    contexts, rows = {}, {}
+    for atoms in latest.values():
+        c = Context(atoms, validate=False)
+        contexts[c.id] = c
+        rows[c.id] = table.row(c)
+    return contexts, rows
+
+
 def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
     """Add pairwise meets to ``contexts`` and ``rows`` until none is new.
 
@@ -524,22 +603,23 @@ def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
     pairwise ``meet`` loop would add. A meet that merges nothing is its
     first argument, and one that merges everything is the trivial context:
     both are present already. The sum of a merged set of atoms is built
-    once per set and interned by its key, since two sets can span the same
-    subspace.
+    once per set and interned by its key through ``intern_sum``, since two
+    sets can span the same subspace.
     """
-    known = {_mask(row) for row in rows.values()}
-    merged = {}
     items = list(contexts.values())
+    masks = [_mask(rows[v.id]) for v in items]
+    known = set(masks)
+    merged = {}
     done = 0
     while True:
         added = {}
         for i, v1 in enumerate(items):
             r1 = rows[v1.id]
             ov = [table.overlap[a] for a in r1]
-            m1 = _mask(r1)
-            for v2 in items[max(i + 1, done):]:
-                r2 = rows[v2.id]
-                m2 = _mask(r2)
+            m1 = masks[i]
+            for k in range(max(i + 1, done), len(items)):
+                r2 = rows[items[k].id]
+                m2 = masks[k]
                 # an atom on each side overlapping every atom of the other
                 # side connects the overlap graph: the meet is trivial
                 if any(o & m2 == m2 for o in ov) and any(table.overlap[b] & m1 == m1 for b in r2):
@@ -555,7 +635,7 @@ def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
                         key = _mask(r1[x] for x in g)
                         if key not in merged:
                             atom = _block_atom(v1.atoms, g)
-                            merged[key] = atom, table.intern(atom)
+                            merged[key] = atom, table.intern_sum(atom, key, m1 & ~key)
                         atom, idx = merged[key]
                     atoms.append(atom)
                     mask |= 1 << idx
@@ -569,40 +649,49 @@ def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
             rows[m.id] = table.row(m)
             known.add(mask)
             items.append(m)
+            masks.append(mask)
 
 
 def _ordered_poset(contexts: dict, rows: dict, table: _AtomTable, bottom_id: str) -> ContextPoset:
     """The order relation and restriction maps, by table lookup.
 
     a <= b when every atom of b lies under an atom of a, and the restriction
-    map sends atom i of b to the one atom of a in ``above[i]`` (one at most,
-    since a's atoms are mutually orthogonal). ``reach[i]`` holds the
-    contexts, as bits over sorted ids, with an atom above atom i, so the
-    contexts below b are the AND of ``reach`` over b's atoms.
+    map sends atom i of b to the one atom of a above it (one at most, since
+    a's atoms are mutually orthogonal). ``reach[i]`` holds the contexts, as
+    bits over sorted ids, with an atom above atom i, so the contexts below
+    b are the AND of ``reach`` over b's atoms. ``position[k]`` maps each
+    atom under an atom of the k-th context to that atom's position in it.
     """
     ids = sorted(contexts)
-    masks = [_mask(rows[cid]) for cid in ids]
     holding = [0] * len(table.atoms)
     for k, cid in enumerate(ids):
         for i in rows[cid]:
             holding[i] |= 1 << k
     reach = []
-    for up in table.above:
+    under = [0] * len(table.atoms)
+    for i, up in enumerate(table.above):
         m = 0
         for j in _bits(up):
             m |= holding[j]
+            under[j] |= 1 << i
         reach.append(m)
+    position = []
+    for cid in ids:
+        pos = {}
+        for at, j in enumerate(rows[cid]):
+            for i in _bits(under[j]):
+                pos[i] = at
+        position.append(pos.__getitem__)
     restriction = {}
     down = {}
     for b in ids:
+        row = rows[b]
         below = (1 << len(ids)) - 1
-        for i in rows[b]:
+        for i in row:
             below &= reach[i]
         down[b] = tuple(ids[k] for k in _bits(below))
         for k in _bits(below):
-            row = rows[ids[k]]
-            restriction[(ids[k], b)] = tuple(
-                row.index(next(_bits(table.above[i] & masks[k]))) for i in rows[b])
+            restriction[(ids[k], b)] = tuple(map(position[k], row))
     restriction = dict(sorted(restriction.items()))
     return ContextPoset(contexts, frozenset(restriction), down, restriction, bottom_id)
 
@@ -642,7 +731,3 @@ def check_state_global_element(weights: dict, poset: ContextPoset) -> bool:
         if differ:
             return False
     return True
-
-
-def poset_to_json_str(poset: ContextPoset) -> str:
-    return json.dumps(poset.to_json(), sort_keys=True)

@@ -3,16 +3,19 @@ kept as a test oracle.
 
 It decides every pair of contexts afresh: ``meet`` for the closure and
 ``restriction_map`` for the order, each through the projector predicates of
-the contexts' own atoms. The tests compare the two builders on ids, order,
-down-sets, restriction maps and poset JSON.
+the contexts' own atoms, and expands ``coarsenings`` with ``all_coarsenings``.
+The tests compare the two builders on ids, order, down-sets, restriction maps
+and poset JSON.
 """
 
-from qcontexts.contexts import Context, ContextPoset, meet, restriction_map
+from qcontexts.contexts import Context, ContextPoset, all_coarsenings, meet, restriction_map
 from qcontexts.linalg import ValidationError
 
 
 def reference_build_poset(generators, close_under_meet: bool = False, dim: int | None = None,
-                          backend: str = "float") -> ContextPoset:
+                          backend: str = "float", coarsenings: bool = False) -> ContextPoset:
+    if coarsenings:
+        generators = [c for g in generators for c in all_coarsenings(g)]
     if generators:
         dim = generators[0].dim
         backend = generators[0].backend

@@ -1,12 +1,14 @@
 """The atom-table poset build against the pairwise reference builder.
 
-``build_poset`` decides each distinct pair of atoms once and then orders and
-meets contexts by table lookup; ``poset_reference.reference_build_poset``
-decides every pair of contexts through the projector predicates. Both must
-give the same contexts, order, down-sets, restriction maps and poset JSON:
-on every packaged fixture with and without pair contexts and coarsenings, on
-random integer ray sets, and on the float posets of the ``presheaf-float``
-benchmark workload.
+``build_poset`` decides each distinct pair of atoms once, derives the
+relations of exact block sums from their parts, and then orders and meets
+contexts by table lookup; ``poset_reference.reference_build_poset`` decides
+every pair of contexts through the projector predicates. Both must give the
+same contexts, order, down-sets, restriction maps and poset JSON: on every
+packaged fixture with and without pair contexts and coarsenings, on random
+integer ray sets, and on the float posets of the ``presheaf-float``
+benchmark workload. Every bit of the tables the builds make must equal the
+predicates too.
 """
 
 import argparse
@@ -22,10 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import float_poset_json
+from conftest import context_from_columns, float_poset_json, make_rng, random_unitary, rotate_pair
 from poset_reference import reference_build_poset
 from qcontexts import cli, contexts, ks
-from qcontexts.contexts import Context, ContextPoset, build_poset, poset_to_json_str
+from qcontexts.contexts import Context, ContextPoset, build_poset
 from qcontexts.linalg import HermitianOperator, Projector, _product_trace
 from qcontexts.scalars import get_eps
 
@@ -44,6 +46,31 @@ def reference_builder():
         contexts.build_poset, ks.build_poset = saved
 
 
+@contextlib.contextmanager
+def recorded_tables():
+    """The atom tables that the poset builds make while the block is open."""
+    tables = []
+
+    class Recorded(contexts._AtomTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    saved = contexts._AtomTable
+    contexts._AtomTable = Recorded
+    try:
+        yield tables
+    finally:
+        contexts._AtomTable = saved
+
+
+def assert_table_matches_the_predicates(table: contexts._AtomTable, note=""):
+    for i, p in enumerate(table.atoms):
+        for j, q in enumerate(table.atoms):
+            assert (table.above[i] >> j & 1) == p.leq(q), (note, i, j)
+            assert (table.overlap[i] >> j & 1) == (not p.orthogonal_to(q)), (note, i, j)
+
+
 def load(rays, pairs, coarsenings):
     args = argparse.Namespace(rays=rays, poset=None, close=True, pairs=pairs,
                               coarsenings=coarsenings)
@@ -56,7 +83,8 @@ def assert_same_poset(new: ContextPoset, ref: ContextPoset, note=""):
     assert new.leq == ref.leq, note
     assert new.down == ref.down, note
     assert list(new.restriction.items()) == list(ref.restriction.items()), note
-    assert poset_to_json_str(new) == poset_to_json_str(ref), note
+    assert (json.dumps(new.to_json(), sort_keys=True)
+            == json.dumps(ref.to_json(), sort_keys=True)), note
 
 
 @pytest.mark.parametrize("name, pairs, coarsenings",
@@ -76,10 +104,49 @@ def test_fixture_atom_masks_match_the_predicates(name, pairs, coarsenings):
     table = contexts._AtomTable()
     for v in load(name, pairs, coarsenings).contexts.values():
         table.row(v)
-    for i, p in enumerate(table.atoms):
-        for j, q in enumerate(table.atoms):
-            assert (table.above[i] >> j & 1) == p.leq(q), (name, i, j)
-            assert (table.overlap[i] >> j & 1) == (not p.orthogonal_to(q)), (name, i, j)
+    assert_table_matches_the_predicates(table, name)
+
+
+@pytest.mark.parametrize("name, pairs, coarsenings",
+                         list(product(FIXTURES, [False, True], [False, True])))
+def test_fixture_build_tables_match_the_predicates(name, pairs, coarsenings):
+    # the tables of the real builds, with the bits that intern_sum derives
+    # for merged meet atoms and block sums
+    with recorded_tables() as tables:
+        load(name, pairs, coarsenings)
+    assert len(tables) == 1 + coarsenings
+    for table in tables:
+        assert_table_matches_the_predicates(table, name)
+
+
+@pytest.mark.parametrize("name, pairs", list(product(FIXTURES, [False, True])))
+def test_closing_the_ray_poset_keeps_its_maximal_contexts(name, pairs):
+    # --coarsenings reads the maximal contexts of the unclosed ray poset: a
+    # meet lies below both of its arguments, so it is never a new maximum
+    rs = ks.load_rayset(name)
+    closed = ks.poset_from_rayset(rs, close=True, include_pairs=pairs)
+    unclosed = ks.poset_from_rayset(rs, close=False, include_pairs=pairs)
+    assert len(closed) > len(unclosed) or name == "dim2_two_bases"
+    assert closed.maximal_ids() == unclosed.maximal_ids()
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # 6,729 and 7,425 calls when every distinct atom pair was traced
+    (("peres33", True, False), 3364),
+    (("ks18", False, True), 742),
+])
+def test_block_sums_are_not_traced(monkeypatch, argv, bound):
+    calls = []
+    for name in ("orthogonal_to", "leq"):
+        original = getattr(Projector, name)
+
+        def counting(self, other, original=original):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Projector, name, counting)
+    load(*argv)
+    assert len(calls) <= bound
 
 
 def diag_atom(dim, k, value=1.0):
@@ -138,6 +205,40 @@ def test_integer_ray_posets_match_reference(obj, pairs, coarsenings):
         with reference_builder():
             ref = load(path, pairs, coarsenings)
     assert_same_poset(new, ref)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(integer_ray_files(), st.booleans(), st.booleans())
+def test_integer_ray_build_tables_match_the_predicates(obj, pairs, coarsenings):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "rays.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        with recorded_tables() as tables:
+            load(path, pairs, coarsenings)
+        rs = ks.load_rayset(path)
+    for table in tables:
+        assert_table_matches_the_predicates(table, obj)
+    closed = ks.poset_from_rayset(rs, close=True, include_pairs=pairs)
+    unclosed = ks.poset_from_rayset(rs, close=False, include_pairs=pairs)
+    assert closed.maximal_ids() == unclosed.maximal_ids()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float_coarsenings_match_reference(seed):
+    # float block sums keep their traces: a rounded sum's relations do not
+    # follow from its parts' bits
+    rng = make_rng(seed)
+    u = random_unitary(rng, 4)
+    gens = [context_from_columns(u), context_from_columns(rotate_pair(u, 0, 1, 0.7))]
+    with recorded_tables() as tables:
+        new = build_poset(gens, coarsenings=True)
+    assert_same_poset(new, reference_build_poset(gens, coarsenings=True))
+    # the Bell(3) = 5 partitions that keep the rotated columns in one block
+    # are coarsenings of both bases
+    assert len(new) == 2 * 15 - 5
+    (table,) = tables
+    assert_table_matches_the_predicates(table, seed)
 
 
 def closest_float_call(poset: ContextPoset) -> float:

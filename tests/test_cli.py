@@ -249,8 +249,9 @@ def test_axiom_flags_reach_the_checks(capsys, argv, unchecked):
     ["intervals", "--poset", "poset.json", "--coarsenings"],
     ["build-poset", "--poset", "poset.json", "--no-close"],
     ["valuate", "--rays", "dim2_two_bases", "--eps", "1e-3"],
+    ["intervals", "--rays", "dim2_two_bases", "--coarsenings", "--no-close"],
 ], ids=["intervals-no-unit", "poset-rays", "poset-pairs", "poset-coarsenings",
-        "poset-no-close", "rays-eps"])
+        "poset-no-close", "rays-eps", "coarsenings-no-close"])
 def test_flag_that_does_not_apply_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")

@@ -61,7 +61,7 @@ def test_context_id_is_order_independent():
 
 def test_trivial_context():
     t = Context.trivial(3)
-    assert t.is_trivial() and t.n_atoms == 1
+    assert t.n_atoms == 1
 
 
 def test_spectrum_and_functionals():
@@ -94,7 +94,7 @@ def test_algebra_from_projectors():
     p = Projector.from_span([[1, 0, 0], [0, 1, 0]], "float")
     v = algebra_from_projectors([p])
     assert v.n_atoms == 2
-    assert algebra_from_projectors([], dim=3).is_trivial()
+    assert algebra_from_projectors([], dim=3).n_atoms == 1
 
 
 def test_subalgebra_and_restriction():
