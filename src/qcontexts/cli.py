@@ -35,15 +35,8 @@ def _load_poset(args) -> contexts.ContextPoset:
         if args.coarsenings and not args.close:
             raise ValidationError("--no-close does not apply to --coarsenings: "
                                   "the coarsenings are not closed under meets")
-        rs = ks.load_rayset(args.rays)
-        # a meet lies below both of its arguments, so closing the ray poset
-        # would not change the maximal contexts that --coarsenings reads
-        poset = ks.poset_from_rayset(rs, close=args.close and not args.coarsenings,
-                                     include_pairs=args.pairs)
-        if args.coarsenings:
-            poset = contexts.build_poset(
-                [poset.contexts[cid] for cid in poset.maximal_ids()], coarsenings=True)
-        return poset
+        return ks.poset_from_rayset(ks.load_rayset(args.rays), close=args.close,
+                                    include_pairs=args.pairs, coarsenings=args.coarsenings)
     raise ValidationError("no input: pass --rays or --poset")
 
 

@@ -25,7 +25,7 @@ from .linalg import (
     spectral_decompose,
 )
 from .records import Record
-from .scalars import QSqrt2
+from .scalars import QSqrt2, integer_pairs
 
 # CPython's built-in sha256 (``_sha2`` from 3.12 on) gives hashlib's digest
 # without loading OpenSSL's ``_hashlib``, a few milliseconds of every start.
@@ -713,21 +713,35 @@ def check_state_global_element(weights: dict, poset: ContextPoset) -> bool:
     `restrict_state` weights) are a global element of the state presheaf:
     they push forward consistently along every pair.
 
-    Exact weights are summed in Q(sqrt 2) and compared with ``==``; float
-    weights agree within 1e-7.
+    Exact weights (QSqrt2, Fraction or int) are taken once per stage as
+    integer pairs over one denominator (`integer_pairs`) and pushed forward
+    as integer sums: a pushed sum x over the upper stage's denominator
+    equals a lower weight y over the lower one iff x * d_sub == y * d_sup,
+    on the rational and the sqrt(2) parts. Float weights agree within 1e-7.
     """
-    exact = poset.backend == "exact"
+    if poset.backend == "exact":
+        ints = {cid: integer_pairs(w) for cid, w in weights.items()}
+        for sub, sup in poset.proper_pairs():
+            d_sup, a_sup, b_sup = ints[sup]
+            d_sub, a_sub, b_sub = ints[sub]
+            rmap = poset.restriction[(sub, sup)]
+            for upper, lower in ((a_sup, a_sub), (b_sup, b_sub)):
+                pushed = _pushforward(upper, rmap, len(lower))
+                if any(x * d_sub != y * d_sup for x, y in zip(pushed, lower)):
+                    return False
+        return True
     for sub, sup in poset.proper_pairs():
-        w_sup = weights[sup]
         w_sub = weights[sub]
-        rmap = poset.restriction[(sub, sup)]
-        pushed = [QSqrt2(0) if exact else 0.0] * len(w_sub)
-        for i, w in enumerate(w_sup):
-            pushed[rmap[i]] += w if exact else float(w)
-        if exact:
-            differ = any(p != w for p, w in zip(pushed, w_sub))
-        else:
-            differ = any(abs(p - float(w)) > 1e-7 for p, w in zip(pushed, w_sub))
-        if differ:
+        pushed = _pushforward(map(float, weights[sup]), poset.restriction[(sub, sup)],
+                              len(w_sub))
+        if any(abs(p - float(w)) > 1e-7 for p, w in zip(pushed, w_sub)):
             return False
     return True
+
+
+def _pushforward(values, rmap, n: int) -> list:
+    """The sums of ``values`` over the n atoms ``rmap`` sends them to."""
+    out = [0] * n
+    for k, x in zip(rmap, values):
+        out[k] += x
+    return out

@@ -16,7 +16,7 @@ from .coarse import LatticeElement, image_mask, lattice_covers, top
 from .contexts import Context, ContextPoset, _bits
 from .linalg import ValidationError, _scaled_float_ray, _zi_apply, _zi_ints, get_eps
 from .records import Record
-from .scalars import exact_entry
+from .scalars import exact_entry, integer_pairs, sign_sqrt2
 from .valuations import PresheafTables, ValuationTable, _first_disjoint_pair
 from .valuations import stage_weights  # noqa: F401  perfbench/tracer.py wraps it here too
 
@@ -74,8 +74,15 @@ def true_set(table: ValuationTable, cid: str):
 def support(weights, v: Context) -> LatticeElement:
     """The least projector in the context's lattice with full Born weight:
     the sum of atoms carrying positive weight, given the context's atom
-    weights (`restrict_state`, or one stage of `PresheafTables.weights`)."""
-    threshold = 0 if v.backend == "exact" else get_eps()
+    weights (`restrict_state`, or one stage of `PresheafTables.weights`).
+    Exact weights (QSqrt2, Fraction or int) are taken as integer pairs
+    (a, b) over one denominator (`integer_pairs`), and an atom is in the
+    support when ``sign_sqrt2(a, b) > 0``; a float weight must exceed eps."""
+    if v.backend == "exact":
+        _, a, b = integer_pairs(weights)
+        weights, threshold = map(sign_sqrt2, a, b), 0
+    else:
+        threshold = get_eps()
     mask = 0
     for i, w in enumerate(weights):
         if w > threshold:

@@ -158,7 +158,7 @@ def load_rayset(source) -> RaySet:
 
 
 def poset_from_rayset(rayset: RaySet, close: bool = True,
-                      include_pairs: bool = False) -> ContextPoset:
+                      include_pairs: bool = False, coarsenings: bool = False) -> ContextPoset:
     """One maximal context per basis, optionally closed under pairwise meets.
 
     With ``include_pairs`` every orthogonal ray pair also contributes the
@@ -167,7 +167,10 @@ def poset_from_rayset(rayset: RaySet, close: bool = True,
     deduplicate into that basis's context; the others add genuine
     constraints, which some uncolourable sets need. A ray set with no
     complete orthogonal bases yields the poset containing only the trivial
-    context.
+    context. With ``coarsenings`` the poset is instead every coarsening of
+    these contexts, from one `build_poset` (``close`` does not apply): a
+    context below another is one of its coarsenings, so these are the
+    coarsenings of the maximal contexts.
     """
     gens = []
     for b in rayset.bases:
@@ -182,6 +185,8 @@ def poset_from_rayset(rayset: RaySet, close: bool = True,
             gens.append(Context(atoms, validate=False))
     if not gens:
         return build_poset([], dim=rayset.dim, backend=rayset.backend)
+    if coarsenings:
+        return build_poset(gens, coarsenings=True)
     return build_poset(gens, close_under_meet=close)
 
 

@@ -1,11 +1,10 @@
 """Scalar backends.
 
-Two interchangeable scalar backends are used throughout the package:
-
-* ``"exact"`` -- elements of the real quadratic field Q(sqrt(2)) stored as a
-  pair of :class:`fractions.Fraction`, plus complex numbers over that field.
-  Arithmetic is closed and equality is decidable, which is what makes
-  orthogonality and projector-equality decisions trustworthy.
+* ``"exact"`` -- the real quadratic field Q(sqrt(2)): `QSqrt2`, a pair of
+  Fractions, and `ExactComplex` over it. They hold parsed entries and
+  thresholds, the entries of ``HermitianOperator.entries()`` and Born
+  weights. Decisions over many values take them as integer pairs over one
+  denominator (`integer_pairs`) and decide signs with `sign_sqrt2`.
 * ``"float"`` -- ordinary double-precision complex numbers, with a global
   tolerance ``eps`` (default ``1e-9``) used by every equality predicate.
 """
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 
 SQRT2 = math.sqrt(2.0)
 
@@ -36,9 +36,7 @@ def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
         if x != int(x):
@@ -47,8 +45,34 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def sign_sqrt2(a, b) -> int:
+    """Exact sign (-1, 0 or +1) of a + b sqrt(2), for rationals a and b
+    (ints or Fractions). When a and b differ in sign, it compares a^2 with
+    2 b^2."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    if a > 0:  # b < 0
+        return 1 if a * a > 2 * b * b else -1
+    return 1 if 2 * b * b > a * a else -1  # a < 0, b > 0
+
+
+def integer_pairs(values):
+    """``(d, a, b)``: exact values (QSqrt2, Fraction or int) as integer
+    lists a and b over one positive denominator d, the lcm of their parts'
+    denominators, so that value k is (a[k] + b[k] sqrt(2)) / d. Sums and
+    comparisons of the values are then integer ones."""
+    parts = [(x.a, x.b) if isinstance(x, QSqrt2) else (x, 0) for x in values]
+    d = math.lcm(*(y.denominator for part in parts for y in part))
+    return (d, [x.numerator * (d // x.denominator) for x, _ in parts],
+            [y.numerator * (d // y.denominator) for _, y in parts])
+
+
+@total_ordering
 class QSqrt2:
-    """An element a + b*sqrt(2) of the field Q(sqrt(2)), a and b rational."""
+    """An element a + b*sqrt(2) of the field Q(sqrt(2)), a and b rational,
+    ordered as a real number; it compares with ints, Fractions and itself."""
 
     __slots__ = ("a", "b")
 
@@ -118,17 +142,7 @@ class QSqrt2:
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if 2 * b * b > a * a else -1  # a < 0, b > 0
+        return sign_sqrt2(self.a, self.b)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -142,18 +156,6 @@ class QSqrt2:
             return NotImplemented
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
     def __hash__(self):
         if self.b == 0:
             return hash(self.a)
@@ -161,9 +163,6 @@ class QSqrt2:
 
     def __float__(self):
         return float(self.a) + float(self.b) * SQRT2
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     def __repr__(self):
         if self.b == 0:
@@ -183,7 +182,6 @@ def _coerce(x):
 
 
 Q_ZERO = QSqrt2(0)
-Q_SQRT2 = QSqrt2(0, 1)
 
 
 class ExactComplex:
@@ -209,12 +207,6 @@ class ExactComplex:
             return NotImplemented
         return ExactComplex(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = _coerce_c(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = _coerce_c(other)
         if other is NotImplemented:
@@ -238,9 +230,6 @@ class ExactComplex:
             (self.im * other.re - self.re * other.im) / denom,
         )
 
-    def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
-
     def conj(self):
         return ExactComplex(self.re, -self.im)
 
@@ -258,9 +247,6 @@ class ExactComplex:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"ExactComplex({self.re!r}, {self.im!r})"
 
     def key(self):
         return self.re.key() + self.im.key()

@@ -17,7 +17,7 @@ from .coarse import LatticeElement, image_arrays, lattice_covers, lattice_size, 
 from .contexts import ContextPoset, _bits
 from .linalg import DensityMatrix, ValidationError, born_probability, get_eps
 from .records import Record
-from .scalars import QSqrt2
+from .scalars import QSqrt2, integer_pairs, sign_sqrt2
 
 
 def _down_masks(poset: ContextPoset) -> dict:
@@ -56,18 +56,36 @@ def _truth_tables(weights: dict, limit) -> dict:
     """Per stage, whether each mask carries Born weight at least ``limit``,
     as a list indexed by mask. Whether a coarse-grained element is in a
     sieve depends only on the lower stage and the image mask, so each
-    (stage, mask) pair is decided once. A mask's mass is its highest atom's
-    weight plus the mass of the rest: the atoms are added from the lowest
-    up, as one sum per mask would add them, so float masses keep their
-    bits."""
+    (stage, mask) pair is decided once.
+
+    A float ``limit`` is r - eps, compared with float masses. An exact one
+    is r as integers ``(rd, ra, rb)``, r = (ra + rb sqrt 2) / rd, and each
+    stage's weights are taken once as integer pairs over one denominator d
+    (`integer_pairs`). A mask whose mass is (A + B sqrt 2) / d then has
+    weight at least r iff (rd A - ra d) + (rd B - rb d) sqrt 2 >= 0: the
+    masses are built as these two integer differences, and `sign_sqrt2`
+    decides each, with no Fraction made."""
+    if isinstance(limit, float):
+        return {cid: [x >= limit for x in _masses(w, 0)] for cid, w in weights.items()}
+    rd, ra, rb = limit
     out = {}
     for cid, w in weights.items():
-        mass = [0]
-        for m in range(1, 1 << len(w)):
-            top = m.bit_length() - 1
-            mass.append(w[top] + mass[m ^ 1 << top])
-        out[cid] = [x >= limit for x in mass]
+        d, a, b = integer_pairs(w)
+        xs = _masses([rd * x for x in a], -ra * d)
+        ys = _masses([rd * y for y in b], -rb * d)
+        out[cid] = [sign_sqrt2(x, y) >= 0 for x, y in zip(xs, ys)]
     return out
+
+
+def _masses(w, empty) -> list:
+    """The mass of every mask, indexed by mask, starting from ``empty`` at
+    mask 0: a mask's mass is its highest atom's weight plus the mass of the
+    rest, so the atoms are added from the lowest up, as one sum per mask
+    would add them, and float masses keep their bits."""
+    mass = [empty]
+    for x in w:
+        mass += [x + m for m in mass]
+    return mass
 
 
 class PresheafTables(Record):
@@ -91,24 +109,35 @@ class PresheafTables(Record):
 def presheaf_tables(rho: DensityMatrix, poset: ContextPoset, r) -> PresheafTables:
     """Weights, truth tables and image arrays of a state on a poset, each
     computed once."""
-    if not 0 < float(r) <= 1:
-        raise ValidationError("threshold r must lie in (0, 1]")
+    limit = _limit(r, poset.backend)
     weights = stage_weights(rho, poset)
     # the lattice bound applies before any 2^k table is built
     for cid in poset.ids():
         lattice_size(poset.contexts[cid])
-    if poset.backend == "float":
-        limit = float(r) - get_eps()
-    # a float threshold on the exact backend is read as the nearest
-    # fraction with denominator at most 10^9
-    elif isinstance(r, QSqrt2):
-        limit = r
-    else:
-        limit = QSqrt2(Fraction(r).limit_denominator(10**9) if isinstance(r, float)
-                       else Fraction(r))
     truth = _truth_tables(weights, limit)
     images = image_arrays({pair: poset.restriction[pair] for pair in poset.proper_pairs()}, {})
     return PresheafTables(poset, weights, truth, images)
+
+
+def _limit(r, backend: str):
+    """The threshold `_truth_tables` compares with: r - eps on the float
+    backend, and r as integers ``(rd, ra, rb)``, r = (ra + rb sqrt 2) / rd,
+    on the exact one, where a float r is read as the nearest fraction with
+    denominator at most 10^9. Raises unless 0 < r <= 1: in floats for a
+    float r, and exactly for an int, Fraction or QSqrt2 (and for the
+    fraction a float r is read as)."""
+    if isinstance(r, float):
+        if not 0 < r <= 1:
+            raise ValidationError("threshold r must lie in (0, 1]")
+        if backend == "float":
+            return r - get_eps()
+        r = Fraction(r).limit_denominator(10**9)
+    rd, (ra,), (rb,) = integer_pairs([r if isinstance(r, QSqrt2) else Fraction(r)])
+    if sign_sqrt2(ra, rb) <= 0 or sign_sqrt2(rd - ra, -rb) < 0:
+        raise ValidationError("threshold r must lie in (0, 1]")
+    if backend == "float":
+        return float(r) - get_eps()
+    return rd, ra, rb
 
 
 def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPoset,

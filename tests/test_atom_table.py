@@ -114,15 +114,14 @@ def test_fixture_build_tables_match_the_predicates(name, pairs, coarsenings):
     # for merged meet atoms and block sums
     with recorded_tables() as tables:
         load(name, pairs, coarsenings)
-    assert len(tables) == 1 + coarsenings
+    assert len(tables) == 1  # one build per command, --coarsenings included
     for table in tables:
         assert_table_matches_the_predicates(table, name)
 
 
 @pytest.mark.parametrize("name, pairs", list(product(FIXTURES, [False, True])))
 def test_closing_the_ray_poset_keeps_its_maximal_contexts(name, pairs):
-    # --coarsenings reads the maximal contexts of the unclosed ray poset: a
-    # meet lies below both of its arguments, so it is never a new maximum
+    # a meet lies below both of its arguments, so it is never a new maximum
     rs = ks.load_rayset(name)
     closed = ks.poset_from_rayset(rs, close=True, include_pairs=pairs)
     unclosed = ks.poset_from_rayset(rs, close=False, include_pairs=pairs)
@@ -147,6 +146,23 @@ def test_block_sums_are_not_traced(monkeypatch, argv, bound):
         monkeypatch.setattr(Projector, name, counting)
     load(*argv)
     assert len(calls) <= bound
+
+
+def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
+    # the ray generators go straight into the coarsening build, so no second
+    # atom table traces the rays again: 432 calls when the ray poset was
+    # built first and its maximal contexts were rebuilt with their coarsenings
+    calls = []
+    original = Projector.orthogonal_to
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Projector, "orthogonal_to", counting)
+    assert cli.main(["intervals", "--rays", "ks18", "--coarsenings",
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) <= 279
 
 
 def diag_atom(dim, k, value=1.0):

@@ -262,6 +262,17 @@ def test_flag_that_does_not_apply_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert len(lines) == 1 and "not apply" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("pairs", [[], ["--pairs"]])
+def test_coarsenings_of_eight_atoms_are_refused(tmp_path, capsys, pairs):
+    # Bell(8) = 4,140 coarsenings: refused before any is built
+    f = tmp_path / "basis8.json"
+    f.write_text(json.dumps({"dim": 8, "rays": [[int(i == k) for i in range(8)] for k in range(8)],
+                             "bases": [list(range(8))]}))
+    code, out = run(capsys, "build-poset", "--rays", str(f), "--coarsenings", *pairs)
+    assert code == 2
+    assert "coarsenings are enumerated up to 7" in json.loads(out)["error"]
+
+
 def test_report_pretty_print(tmp_path, capsys):
     f = tmp_path / "r.json"
     f.write_text('{"b": 1, "a": 2}')

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,19 @@ def test_sign_agrees_with_float(x):
 def test_total_order(x, y):
     assert (x < y) == (float(x) < float(y) and x != y)
     assert x <= y or y <= x
+
+
+@given(qs(rationals, rationals), st.one_of(qs(rationals, rationals), rationals, st.integers(-3, 3)))
+def test_order_is_one_relation(x, y):
+    assert (x > y) == (y < x) == (float(x) > float(y) and x != y)
+    assert (x >= y) == (y <= x) == (not x < y)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_order_refuses_floats(op):
+    # a float is not exact: every comparison with one raises, none answers
+    with pytest.raises(TypeError):
+        op(QSqrt2(1), 0.5)
 
 
 def test_sqrt2_squares_to_two():
