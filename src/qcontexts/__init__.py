@@ -2,10 +2,7 @@
 global-section (Kochen-Specker) search."""
 
 from .coarse import (
-    AugmentedProposition,
     LatticeElement,
-    augment,
-    canonical_probe,
     clopen_iso_check,
     clopen_of,
     coarse_functoriality_check,
@@ -20,8 +17,6 @@ from .contexts import (
     ContextPoset,
     SpectralFunctional,
     StateOnContext,
-    algebra_from_operators,
-    algebra_from_projectors,
     all_coarsenings,
     build_poset,
     check_state_global_element,
@@ -29,7 +24,6 @@ from .contexts import (
     meet,
     restrict_functional,
     restrict_state,
-    spectrum,
 )
 from .intervals import (
     CoarseGlobalElement,
@@ -40,10 +34,8 @@ from .intervals import (
     check_spectral_subobject,
     global_element_from_valuation,
     ideal_valuation,
-    interval_from_valuation,
     probability_family,
     support,
-    true_set,
     true_subobject,
 )
 from .ks import (
@@ -59,13 +51,10 @@ from .ks import (
 from .linalg import (
     BackendError,
     DensityMatrix,
-    EigenvalueFunction,
     HermitianOperator,
     Projector,
     ValidationError,
-    apply_function,
     born_probability,
-    spectral_decompose,
 )
 from .scalars import ExactComplex, QSqrt2, get_eps, set_eps
 from .valuations import (
@@ -74,8 +63,6 @@ from .valuations import (
     check_valuation,
     natural_transformation_check,
     presheaf_tables,
-    principal_sieve,
-    state_valuation,
     valuation_table,
 )
 

@@ -43,7 +43,8 @@ def _load_poset(args) -> contexts.ContextPoset:
 def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
     """State specs: 'maximally-mixed', 'basis-k', 'diag:w0,w1,..',
     'vec:v0,v1,..' (real components, fractions or decimals), or a JSON file
-    holding a density matrix."""
+    holding a density matrix, which is a float state and so needs a float
+    (``--poset``) poset."""
     if spec == "maximally-mixed":
         return DensityMatrix.maximally_mixed(dim, backend)
     vec = _state_vector(spec, dim)
@@ -58,6 +59,9 @@ def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
         if backend == "float":
             return DensityMatrix.from_diag(_floats(parts), backend)
         return DensityMatrix.from_diag(parts, backend)
+    if backend != "float":
+        raise ValidationError("a density-matrix file is a float state: use it with --poset, "
+                              "or give maximally-mixed / basis-k / diag: / vec: with --rays")
     return DensityMatrix.from_json(read_json_file(spec))
 
 

@@ -9,7 +9,7 @@ atoms) is used in production with the brute-force infimum kept as an oracle.
 from __future__ import annotations
 
 from .contexts import Context, ContextPoset, SpectralFunctional
-from .linalg import HermitianOperator, Projector, ValidationError
+from .linalg import Projector, ValidationError
 from .records import Record
 
 LATTICE_ATOM_BOUND = 20
@@ -23,17 +23,6 @@ class LatticeElement(Record):
     def __init__(self, context_id: str, mask: int):
         object.__setattr__(self, "context_id", context_id)
         object.__setattr__(self, "mask", mask)
-
-    def leq(self, other: "LatticeElement") -> bool:
-        if self.context_id != other.context_id:
-            raise ValidationError("lattice elements live in different contexts")
-        return self.mask & other.mask == self.mask
-
-    def meet(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(self.context_id, self.mask & other.mask)
-
-    def join(self, other: "LatticeElement") -> "LatticeElement":
-        return LatticeElement(self.context_id, self.mask | other.mask)
 
 
 def element_projector(elem: LatticeElement, v: Context) -> Projector:
@@ -77,10 +66,6 @@ def lattice_covers(n_atoms: int):
 
 def top(v: Context) -> LatticeElement:
     return LatticeElement(v.id, (1 << v.n_atoms) - 1)
-
-
-def bottom(v: Context) -> LatticeElement:
-    return LatticeElement(v.id, 0)
 
 
 def coarse_grain(poset: ContextPoset, elem: LatticeElement, target_id: str) -> LatticeElement:
@@ -206,61 +191,6 @@ def coarse_functoriality_check(poset: ContextPoset) -> dict:
                         },
                     }
     return {"ok": True, "chains_checked": chains, "counterexample": None}
-
-
-# ---------------------------------------------------------------------------
-# augmented propositions
-# ---------------------------------------------------------------------------
-
-
-class AugmentedProposition(Record):
-    """All (operator, eigenvalue subset) pairs witnessing one lattice element."""
-
-    __slots__ = ("context_id", "element", "witnesses")
-
-    def __init__(self, context_id: str, element: LatticeElement, witnesses: tuple):
-        object.__setattr__(self, "context_id", context_id)
-        object.__setattr__(self, "element", element)
-        # of (HermitianOperator, tuple of eigenvalues)
-        object.__setattr__(self, "witnesses", witnesses)
-
-
-def canonical_probe(v: Context) -> HermitianOperator:
-    """The operator with a distinct integer eigenvalue on each atom."""
-    m = None
-    for i, atom in enumerate(v.atoms):
-        term = atom.matrix.scale(i + 1)
-        m = term if m is None else m + term
-    return m
-
-
-def augment(elem: LatticeElement, v: Context, probe_ops=()) -> AugmentedProposition:
-    """Collect (A, Delta) witnesses with the spectral projector of A on Delta
-    equal to the element. The canonical probe is always included."""
-    ops = list(probe_ops) + [canonical_probe(v)]
-    witnesses = []
-    for a in ops:
-        if not v.contains_operator(a):
-            raise ValidationError("probe operator is not in the context's algebra")
-        values = v.atom_coefficients(a)
-        # exact eigenvalues are equal or not; float ones within 1e-9 are one
-        if v.backend == "exact":
-            groups = {lam: [i for i, x in enumerate(values) if x == lam]
-                      for lam in sorted(set(values))}
-        else:
-            groups = {lam: [i for i, x in enumerate(values) if abs(float(x) - lam) <= 1e-9]
-                      for lam in sorted(set(float(x) for x in values))}
-        # an eigenvalue may enter Delta only if all of its atoms are in the mask
-        delta = []
-        covered = 0
-        for lam, idxs in groups.items():
-            if all(elem.mask >> i & 1 for i in idxs):
-                delta.append(lam)
-                for i in idxs:
-                    covered |= 1 << i
-        if covered == elem.mask:
-            witnesses.append((a, tuple(delta)))
-    return AugmentedProposition(v.id, elem, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,7 @@ from .linalg import (
     Projector,
     ValidationError,
     _json_operator,
-    _product_trace,
-    born_probability,
-    get_eps,
-    spectral_decompose,
+    born_probability,  # perfbench/tracer.py wraps it here too
 )
 from .records import Record
 from .scalars import QSqrt2, integer_pairs
@@ -91,26 +88,6 @@ class Context:
     def __repr__(self):
         return f"Context(dim={self.dim}, atoms={self.n_atoms}, id={self.id!r})"
 
-    def contains_operator(self, a: HermitianOperator) -> bool:
-        """True iff A is constant on each atom, i.e. A = sum_i kappa_i(A) A_i."""
-        recon = None
-        for atom in self.atoms:
-            coeff = _atom_coefficient(a, atom)
-            term = atom.matrix.scale(coeff)
-            recon = term if recon is None else recon + term
-        return recon.close_to(a)
-
-    def atom_coefficients(self, a: HermitianOperator):
-        """The per-atom values of an operator in this algebra."""
-        return tuple(_atom_coefficient(a, atom) for atom in self.atoms)
-
-
-def _atom_coefficient(a: HermitianOperator, atom: Projector):
-    t = _product_trace(a, atom.matrix)
-    if a.backend == "exact":
-        return t / QSqrt2(atom.rank)
-    return t.real / atom.rank
-
 
 class SpectralFunctional(Record):
     """The multiplicative functional picking out one atom of a context."""
@@ -120,16 +97,6 @@ class SpectralFunctional(Record):
     def __init__(self, context_id: str, index: int):
         object.__setattr__(self, "context_id", context_id)
         object.__setattr__(self, "index", index)
-
-    def __call__(self, a: HermitianOperator, context: Context):
-        if context.id != self.context_id:
-            raise ValidationError("functional applied at the wrong context")
-        return _atom_coefficient(a, context.atoms[self.index])
-
-
-def spectrum(v: Context):
-    """One functional per atom, in atom order."""
-    return [SpectralFunctional(v.id, i) for i in range(v.n_atoms)]
 
 
 class StateOnContext(Record):
@@ -150,65 +117,6 @@ class StateOnContext(Record):
             raise ValidationError("state weights do not sum to 1")
         object.__setattr__(self, "context_id", context_id)
         object.__setattr__(self, "weights", weights)
-
-
-# ---------------------------------------------------------------------------
-# generation of contexts
-# ---------------------------------------------------------------------------
-
-
-def algebra_from_operators(ops) -> Context:
-    """Context generated by a commuting family of Hermitian operators.
-
-    Atoms are the nonzero products of eigenprojectors across all inputs
-    (the joint spectral decomposition). The empty family generates the
-    trivial context.
-    """
-    if not ops:
-        raise ValidationError("empty operator family; dimension unknown")
-    dim, backend = ops[0].dim, ops[0].backend
-    for i, a in enumerate(ops):
-        for j in range(i + 1, len(ops)):
-            if not a.commutes_with(ops[j]):
-                raise ValidationError(f"operators {i} and {j} do not commute")
-    parts = [Projector.identity(dim, backend)]
-    for a in ops:
-        eig = [p for _, p in spectral_decompose(a)]
-        parts = _refine(parts, eig)
-    return Context(parts, validate=False)
-
-
-def algebra_from_projectors(ps, dim: int | None = None, backend: str = "float") -> Context:
-    """Context generated by a commuting family of projectors.
-
-    Atoms are the nonzero products over choices of each projector or its
-    complement. The empty family gives the trivial context (dim required).
-    """
-    if not ps:
-        if dim is None:
-            raise ValidationError("empty projector family; pass dim")
-        return Context.trivial(dim, backend)
-    dim, backend = ps[0].dim, ps[0].backend
-    for i, p in enumerate(ps):
-        for j in range(i + 1, len(ps)):
-            if not p.matrix.commutes_with(ps[j].matrix):
-                raise ValidationError(f"projectors {i} and {j} do not commute")
-    parts = [Projector.identity(dim, backend)]
-    for p in ps:
-        choices = [q for q in (p, p.complement()) if not q.is_zero()]
-        parts = _refine(parts, choices)
-    return Context(parts, validate=False)
-
-
-def _refine(parts, splitters):
-    out = []
-    for part in parts:
-        for q in splitters:
-            prod = part.matrix @ q.matrix
-            if prod.is_zero():
-                continue
-            out.append(Projector(prod))  # validates idempotency (commuting inputs)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +141,7 @@ def restriction_map(v2: Context, v1: Context):
     return tuple(out)
 
 
+# perfbench/tracer.py wraps it by name
 def is_subalgebra(v2: Context, v1: Context) -> bool:
     """True iff every atom of v2 is a sum of atoms of v1 (partition coarsening)."""
     return restriction_map(v2, v1) is not None
@@ -285,6 +194,7 @@ def _block_atom(atoms, block) -> Projector:
     return Projector(m, validate=False)
 
 
+# perfbench/tracer.py wraps it by name
 def meet(v1: Context, v2: Context) -> Context:
     """Largest context below both: merge atoms along the overlap graph."""
     if v1.dim != v2.dim:
@@ -312,6 +222,7 @@ def _check_coarsening_bound(v: Context) -> None:
         )
 
 
+# perfbench/tracer.py wraps it by name
 def all_coarsenings(v: Context):
     """Every context coarser than v (all merges of its atoms), incl. v itself."""
     _check_coarsening_bound(v)

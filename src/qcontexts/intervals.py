@@ -1,8 +1,8 @@
 """Interval-valued valuations.
 
 Assignments of spectrum subsets to stages: the true-subobject of the
-spectral presheaf arising from a state, interval assignments induced by
-sieve-valued valuations, global elements of the coarse-graining presheaf,
+spectral presheaf arising from a state, global elements of the
+coarse-graining presheaf read off sieve-valued valuations,
 probability-threshold projector families with their subobject and semantic
 checks, and ideal-induced valuations from a vector.
 """
@@ -41,9 +41,6 @@ class ProjectorFamily(Record):
     def __init__(self, masks: dict):
         object.__setattr__(self, "masks", masks)  # context id -> frozenset[int]
 
-    def to_json(self) -> dict:
-        return {cid: sorted(s) for cid, s in sorted(self.masks.items())}
-
 
 class CoarseGlobalElement(Record):
     """One lattice element per stage, compatible with coarse-graining."""
@@ -53,22 +50,13 @@ class CoarseGlobalElement(Record):
     def __init__(self, choices: dict):
         object.__setattr__(self, "choices", choices)  # context id -> mask
 
-    def element(self, cid: str) -> LatticeElement:
-        return LatticeElement(cid, self.choices[cid])
-
     def to_json(self) -> dict:
         return dict(sorted(self.choices.items()))
 
 
 # ---------------------------------------------------------------------------
-# true-sets and supports
+# supports and true-set infima
 # ---------------------------------------------------------------------------
-
-
-def true_set(table: ValuationTable, cid: str):
-    """Lattice elements valued at the principal sieve at the given stage."""
-    true_v = table.down[cid]
-    return {LatticeElement(cid, m) for m, s in enumerate(table.maps[cid]) if s == true_v}
 
 
 def support(weights, v: Context) -> LatticeElement:
@@ -95,12 +83,6 @@ def true_subobject(tables: PresheafTables) -> IntervalAssignment:
     contexts = tables.poset.contexts
     return IntervalAssignment({cid: support(tables.weights[cid], contexts[cid]).mask
                                for cid in tables.poset.ids()})
-
-
-def interval_from_valuation(table: ValuationTable, poset: ContextPoset) -> IntervalAssignment:
-    """Functionals dominated by the infimum of the stage's true-set; empty
-    where that infimum is the zero projector."""
-    return IntervalAssignment({cid: _true_set_infimum(table, cid) for cid in poset.ids()})
 
 
 def _true_set_infimum(table: ValuationTable, cid: str) -> int:
@@ -135,12 +117,6 @@ def check_spectral_subobject(assignment: IntervalAssignment, poset: ContextPoset
              "image": list(_bits(image)), "target": list(_bits(target))}
         )
     return {"ok": weak_ok, "morphisms": morphisms}
-
-
-def operator_interval(assignment: IntervalAssignment, a, v: Context):
-    """The set of spectral values an operator takes on the assigned functionals."""
-    values = v.atom_coefficients(a)
-    return {float(values[i]) for i in _bits(assignment.sets[v.id])}
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ class RaySet:
         return tuple(where[i] for i in b)
 
     @property
-    def n_rays(self) -> int:
+    def n_rays(self) -> int:  # perfbench/tracer.py reads it
         return len(self.rays)
 
 
@@ -307,9 +307,6 @@ class SectionAssignment(Record):
 
     def __init__(self, choices: dict):
         object.__setattr__(self, "choices", choices)
-
-    def functional(self, cid: str) -> SpectralFunctional:
-        return SpectralFunctional(cid, self.choices[cid])
 
     def to_json(self) -> dict:
         return dict(sorted(self.choices.items()))

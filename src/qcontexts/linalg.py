@@ -1,11 +1,10 @@
 """Small-dimension complex Hermitian linear algebra with two backends.
 
-Hermitian operators, canonical projectors, density matrices, spectral
-decomposition, functional calculus and Born probabilities. The float backend
-works on flat tuples of Python floats and calls numpy only for eigen- and
-singular-value problems, importing it inside those functions; the exact
-backend works over Q(sqrt(2)) in integer arithmetic, and takes numpy's
-eigenvalues only as hints that it then verifies exactly.
+Hermitian operators, canonical projectors, density matrices and Born
+probabilities. The float backend works on flat tuples of Python floats and
+calls numpy only for eigen- and singular-value problems, importing it inside
+those functions; the exact backend works over Q(sqrt(2)) in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ from itertools import repeat, zip_longest
 from math import copysign, gcd, hypot, lcm
 from operator import add, mul, sub
 
-from .scalars import (
-    ExactComplex,
-    QSqrt2,
-    exact_entry,
-    get_eps,
-    recognize_qsqrt2,
-)
+from .scalars import ExactComplex, QSqrt2, exact_entry, get_eps
 
 
 class BackendError(ValueError):
@@ -325,9 +318,6 @@ class HermitianOperator:
         if self.backend == "float":
             return _float_small(self.data, self.dim ** 2, 10 * get_eps())
         return not (self.data[1] or self.data[2])
-
-    def commutes_with(self, other: "HermitianOperator") -> bool:
-        return (self @ other).close_to(other @ self)
 
     # -- serialization (row-major complex arrays) ---------------------------
 
@@ -731,133 +721,9 @@ class DensityMatrix:
         s = 1 / dim if backend == "float" else Fraction(1, dim)
         return cls(HermitianOperator.identity(dim, backend).scale(s), validate=False)
 
-    def to_json(self) -> dict:
-        return self.matrix.to_json()
-
     @classmethod
     def from_json(cls, obj: dict):
         return cls(HermitianOperator.from_json(obj))
-
-
-# ---------------------------------------------------------------------------
-# spectral decomposition and functional calculus
-# ---------------------------------------------------------------------------
-
-
-def spectral_decompose(a: HermitianOperator):
-    """Eigenvalues (strictly increasing) with their spectral projectors.
-
-    Float backend: eigenvalues closer than the global tolerance are merged
-    into one eigenprojector. Exact backend: eigenvalues must lie in
-    Q(sqrt(2)); each eigenprojector is a polynomial in the operator,
-    verified exactly.
-    """
-    if not a._is_hermitian():
-        raise ValidationError("operator is not Hermitian")
-    if a.backend == "float":
-        return _spectral_float(a)
-    return _spectral_exact(a)
-
-
-def _spectral_float(a: HermitianOperator):
-    import numpy as np
-
-    eps = get_eps()
-    w, u = np.linalg.eigh(a.to_complex_array())
-    out = []
-    i = 0
-    n = a.dim
-    while i < n:
-        j = i
-        while j + 1 < n and w[j + 1] - w[i] <= eps:
-            j += 1
-        cols = u[:, i : j + 1]
-        p = Projector(HermitianOperator.from_entries((cols @ cols.conj().T).tolist(),
-                                                     validate=False))
-        out.append((float(np.mean(w[i : j + 1])), p))
-        i = j + 1
-    return out
-
-
-def _spectral_exact(a: HermitianOperator):
-    import numpy as np
-
-    w = np.linalg.eigvalsh(a.to_complex_array())
-    # cluster the numeric hints
-    hints = []
-    for x in w:
-        if not hints or x - hints[-1] > 1e-7:
-            hints.append(float(x))
-    eigs = []
-    for x in hints:
-        lam = recognize_qsqrt2(x)
-        if lam is None:
-            raise BackendError(
-                f"eigenvalue near {x} is not a small element of Q(sqrt(2)); "
-                "use the float backend for this operator"
-            )
-        eigs.append(lam)
-    # P_lam = prod over mu != lam of (A - mu I) / (lam - mu) (Sylvester).
-    # These polynomials sum to I for any distinct values, so a missed
-    # eigenvalue leaves some A P_lam != lam P_lam, and a spurious lam gives
-    # P_lam = 0: the two tests below verify the whole decomposition, and
-    # what passes is the spectral projectors of A.
-    lams = sorted(set(eigs))
-    eye = HermitianOperator.identity(a.dim, "exact")
-    shifted = {mu: a - eye.scale(mu) for mu in lams}
-    out = []
-    for lam in lams:
-        p = eye
-        for mu in lams:
-            if mu != lam:
-                p = p @ shifted[mu].scale(1 / (lam - mu))
-        if p.is_zero() or not (a @ p).close_to(p.scale(lam)):
-            raise BackendError("numeric eigenvalue hint failed exact verification")
-        out.append((lam, Projector(p, validate=False)))
-    return out
-
-
-class EigenvalueFunction:
-    """A finite map from eigenvalues to values, total on a given spectrum."""
-
-    def __init__(self, mapping: dict):
-        self.mapping = dict(mapping)
-
-    def at(self, lam, backend: str):
-        if backend == "exact":
-            lam_q = lam if isinstance(lam, QSqrt2) else QSqrt2(lam)
-            for k, v in self.mapping.items():
-                k_q = k if isinstance(k, QSqrt2) else QSqrt2(k)
-                if k_q == lam_q:
-                    return v
-            raise ValidationError(f"function undefined at eigenvalue {lam}")
-        eps = get_eps()
-        best = None
-        for k, v in self.mapping.items():
-            if abs(float(k) - float(lam)) <= 10 * eps:
-                best = v
-        if best is None:
-            raise ValidationError(f"function undefined at eigenvalue {lam}")
-        return best
-
-
-def apply_function(a: HermitianOperator, f: EigenvalueFunction) -> HermitianOperator:
-    """Functional calculus: sum of f(eigenvalue) times eigenprojector."""
-    acc = HermitianOperator.zero(a.dim, a.backend)
-    for lam, p in spectral_decompose(a):
-        val = f.at(lam, a.backend)
-        if a.backend == "exact" and not isinstance(val, QSqrt2):
-            val = as_int_or_fraction(val)
-        acc = acc + p.matrix.scale(val)
-    return acc
-
-
-def as_int_or_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return x
-    if isinstance(x, float) and x == int(x):
-        return int(x)
-    raise ValidationError(f"value {x!r} is not exact")
 
 
 def born_probability(rho: DensityMatrix, p: Projector):

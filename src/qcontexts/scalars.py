@@ -281,26 +281,3 @@ def exact_entry(x) -> ExactComplex:
         return ExactComplex(QSqrt2(as_fraction(x[0]), as_fraction(x[1])))
     return ExactComplex(QSqrt2(as_fraction(x)))
 
-
-def recognize_qsqrt2(x: float, max_den: int = 64, tol: float = 1e-7):
-    """Recognize a float as an element of Q(sqrt(2)) with small denominators.
-
-    Used only to turn numeric eigenvalue hints into exact candidates; every
-    candidate is verified exactly by the caller. Returns None if no small
-    element matches.
-    """
-    # rational part only, generous denominator
-    a = Fraction(x).limit_denominator(10**6)
-    if abs(float(a) - x) <= tol and a.denominator <= 10**4:
-        return QSqrt2(a)
-    # a + b*sqrt(2) with small b
-    for d in (1, 2, 3, 4, 6, 8):
-        for n in range(-8 * d, 8 * d + 1):
-            if n == 0:
-                continue
-            b = Fraction(n, d)
-            a = Fraction(x - float(b) * SQRT2).limit_denominator(max_den)
-            cand = QSqrt2(a, b)
-            if abs(float(cand) - x) <= tol:
-                return cand
-    return None

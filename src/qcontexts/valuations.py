@@ -27,11 +27,6 @@ def _down_masks(poset: ContextPoset) -> dict:
     return {cid: sum(bit[c] for c in poset.below(cid)) for cid in bit}
 
 
-def principal_sieve(poset: ContextPoset, stage: str) -> int:
-    """The maximal truth value at a stage: every context below it."""
-    return _down_masks(poset)[stage]
-
-
 def _names(ids, sieve: int) -> list:
     """The sorted context ids of a sieve, given ``poset.ids()``."""
     return [ids[k] for k in _bits(sieve)]
@@ -138,16 +133,6 @@ def _limit(r, backend: str):
     if backend == "float":
         return float(r) - get_eps()
     return rd, ra, rb
-
-
-def state_valuation(rho: DensityMatrix, elem: LatticeElement, poset: ContextPoset,
-                    r=1) -> int:
-    """Sieve of contexts where the coarse-grained element has weight >= r.
-
-    With r = 1 this is the probability-one valuation; the lower-set property
-    follows from monotonicity of Born weight under coarse-graining.
-    """
-    return valuation_table(presheaf_tables(rho, poset, r)).sieve(elem)
 
 
 class ValuationTable:

@@ -432,9 +432,30 @@ def test_deeply_nested_json_exits_2_with_one_error(tmp_path, capsys, argv):
 def test_malformed_state_file_exits_2(tmp_path, capsys):
     f = tmp_path / "state.json"
     f.write_text("[]")
-    code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--state", str(f))
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"dim": 2, "contexts": []}))
+    code, out = run(capsys, "valuate", "--poset", str(poset), "--state", str(f))
     assert code == 2
-    assert out.count("\n") == 1 and "error" in json.loads(out)
+    assert out.count("\n") == 1 and "operator JSON" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["valuate", "intervals", "verify-axioms"])
+def test_state_file_with_rays_names_the_float_backend(tmp_path, capsys, command):
+    """A density-matrix file is a float state and a ray poset is exact: the
+    error says so, not that two backends met, and the file works with
+    --poset."""
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps({"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}))
+    code, out = run(capsys, command, "--rays", "dim2_two_bases", "--state", str(f))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("ValidationError: a density-matrix file is a float state")
+    assert "--poset" in error
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(json.loads(out)["poset"]))
+    code, out = run(capsys, command, "--poset", str(poset), "--state", str(f))
+    assert code == 0 and json.loads(out)["ok"]
 
 
 JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 5), st.just(2.0),

@@ -18,8 +18,6 @@ from qcontexts.contexts import (
     ContextPoset,
     SpectralFunctional,
     StateOnContext,
-    algebra_from_operators,
-    algebra_from_projectors,
     all_coarsenings,
     build_poset,
     check_state_global_element,
@@ -27,14 +25,8 @@ from qcontexts.contexts import (
     meet,
     restrict_functional,
     restrict_state,
-    spectrum,
 )
-from qcontexts.linalg import (
-    DensityMatrix,
-    HermitianOperator,
-    Projector,
-    ValidationError,
-)
+from qcontexts.linalg import DensityMatrix, Projector, ValidationError
 from qcontexts.scalars import QSqrt2
 
 
@@ -64,50 +56,18 @@ def test_trivial_context():
     assert t.n_atoms == 1
 
 
-def test_spectrum_and_functionals():
-    v = diag_context(3)
-    ks = spectrum(v)
-    assert len(ks) == 3
-    a = HermitianOperator.diag([5, 7, 9], "float")
-    vals = sorted(k(a, v) for k in ks)
-    assert vals == pytest.approx([5, 7, 9])
-
-
-def test_contains_operator():
-    v = diag_context(2)
-    assert v.contains_operator(HermitianOperator.diag([1, 2], "float"))
-    x = HermitianOperator.from_entries([[0, 1], [1, 0]], "float")
-    assert not v.contains_operator(x)
-
-
-def test_algebra_from_operators_joint_decomposition():
-    a = HermitianOperator.diag([1, 1, 2], "float")
-    b = HermitianOperator.diag([3, 4, 4], "float")
-    v = algebra_from_operators([a, b])
-    assert v.n_atoms == 3  # joint eigenspaces separate all three axes
-    x = HermitianOperator.from_entries([[0, 1, 0], [1, 0, 0], [0, 0, 1]], "float")
-    with pytest.raises(ValidationError):
-        algebra_from_operators([b, x])  # swap of e0,e1 vs distinct weights there
-
-
-def test_algebra_from_projectors():
-    p = Projector.from_span([[1, 0, 0], [0, 1, 0]], "float")
-    v = algebra_from_projectors([p])
-    assert v.n_atoms == 2
-    assert algebra_from_projectors([], dim=3).n_atoms == 1
-
-
 def test_subalgebra_and_restriction():
     v1 = diag_context(3)
     p01 = Projector.from_span([[1, 0, 0], [0, 1, 0]], "float")
-    v2 = algebra_from_projectors([p01])
+    v2 = Context([p01, p01.complement()])
     assert is_subalgebra(v2, v1)
     assert not is_subalgebra(v1, v2)
-    k = SpectralFunctional(v1.id, 0)
-    r = restrict_functional(k, v1, v2)
-    # the restricted functional must value the coarse atom the way k does
-    a = HermitianOperator.diag([1, 1, 0], "float")
-    assert r(a, v2) == pytest.approx(k(a, v1))
+    for i, atom in enumerate(v1.atoms):
+        r = restrict_functional(SpectralFunctional(v1.id, i), v1, v2)
+        # the restricted functional picks the coarse atom above atom i
+        assert r.context_id == v2.id and atom.leq(v2.atoms[r.index])
+    with pytest.raises(ValidationError):
+        restrict_functional(SpectralFunctional(v2.id, 0), v2, v1)
 
 
 def test_meet_shared_column():

@@ -1,39 +1,31 @@
-"""Exact eigenprojectors and spans from the integer form.
+"""Exact spans, annihilating masks and Pauli contexts from the integer form.
 
-`spectral_decompose` builds each exact eigenprojector as the polynomial
-prod_{mu != lam} (A - mu I) / (lam - mu) and accepts it only if it is
-nonzero and A P = lam P; exact `Projector.from_span` adds the ray projector
-of each vector's residual against the span so far; exact
-`largest_annihilating_mask` applies each atom to the vector in integers.
-The oracles here are built apart from that code: operators are sums of ray
-projectors over orthogonal bases made by `ExactComplex` Gram-Schmidt, spans
-are compared with the sum of the ray projectors of their Gram-Schmidt basis
-and with the float backend, and the Pauli contexts with the ids the
-row-reduction code gave them.
+Exact `Projector.from_span` adds the ray projector of each vector's residual
+against the span so far; exact `largest_annihilating_mask` applies each atom
+to the vector in integers. The oracles here are built apart from that code:
+spans are compared with the sum of the ray projectors of their
+`ExactComplex` Gram-Schmidt basis and with the float backend, and the Pauli
+contexts, built from their joint eigenrays, with the ids the row-reduction
+code gave them and with the products of their Pauli eigenvalues.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from qcontexts import linalg
-from qcontexts.contexts import Context, algebra_from_operators
+from qcontexts.contexts import Context
 from qcontexts.intervals import largest_annihilating_mask
 from qcontexts.linalg import (
-    BackendError,
     DensityMatrix,
     HermitianOperator,
     Projector,
     ValidationError,
     born_probability,
-    spectral_decompose,
 )
 from qcontexts.scalars import EC_ZERO, ExactComplex, QSqrt2, exact_entry
-
-EIGENVALUES = [QSqrt2(0), QSqrt2(1), QSqrt2(-1), QSqrt2(Fraction(1, 2)), QSqrt2(0, 1),
-               QSqrt2(2, -1), QSqrt2(Fraction(-3, 4), Fraction(1, 2))]
 
 
 def random_real(rng):
@@ -86,72 +78,6 @@ def random_orthogonal_basis(rng, d):
             return basis
 
 
-def float_operator(a):
-    return HermitianOperator.from_entries(a.to_complex_array().tolist(), "float")
-
-
-# -- spectra ------------------------------------------------------------------
-
-
-def test_exact_spectra_are_the_ray_sums_of_each_eigenvalue():
-    rng = random.Random(14)
-    for _ in range(60):
-        d = rng.randint(1, 4)
-        basis = random_orthogonal_basis(rng, d)
-        # few values, so that eigenvalues repeat
-        lams = [rng.choice(EIGENVALUES[:rng.randint(1, len(EIGENVALUES))]) for _ in range(d)]
-        a = HermitianOperator.zero(d, "exact")
-        for lam, v in zip(lams, basis):
-            a = a + Projector.from_ray(v, "exact").matrix.scale(lam)
-        decomp = spectral_decompose(a)
-        assert [lam for lam, _ in decomp] == sorted(set(lams))
-        for lam, p in decomp:
-            expected = ray_sum([v for mu, v in zip(lams, basis) if mu == lam], d)
-            assert p.matrix.data == expected.data
-            assert p.rank == lams.count(lam)
-        flt = spectral_decompose(float_operator(a))
-        assert len(flt) == len(decomp)
-        for (lam, p), (x, q) in zip(decomp, flt):
-            assert abs(float(lam) - x) <= 1e-9
-            assert np.allclose(p.matrix.to_complex_array(), q.matrix.to_complex_array(),
-                               atol=1e-9, rtol=0)
-
-
-def shifted_hint(shift_at):
-    recognize = linalg.recognize_qsqrt2
-
-    def patched(x):
-        lam = recognize(x)
-        return lam + Fraction(1, 64) if lam == shift_at else lam
-
-    return patched
-
-
-@pytest.mark.parametrize("case", ["shifted", "merged"])
-def test_wrong_eigenvalue_hints_fail_verification(monkeypatch, case):
-    # spectra {1 - sqrt 2, 1 + sqrt 2} and {0, 2}: shift the upper
-    # eigenvalue off the spectrum, or map both hints to 0
-    a = HermitianOperator.from_entries([[1, [0, 1]], [[0, 1], 1]], "exact")  # 1 +/- sqrt 2
-    b = HermitianOperator.from_entries([[1, 1], [1, 1]], "exact")
-    for op, shift_at in ((a, QSqrt2(1, 1)), (b, QSqrt2(2))):
-        if case == "shifted":
-            monkeypatch.setattr(linalg, "recognize_qsqrt2", shifted_hint(shift_at))
-        else:
-            monkeypatch.setattr(linalg, "recognize_qsqrt2", lambda x: QSqrt2(0))
-        with pytest.raises(BackendError):
-            spectral_decompose(op)
-        monkeypatch.undo()
-        assert len(spectral_decompose(op)) == 2
-
-
-def test_spurious_eigenvalue_hint_fails_verification(monkeypatch):
-    # diag(0, 0, 2) with a third hint at 1: its polynomial is the zero matrix
-    a = HermitianOperator.diag([0, 0, 2], "exact")
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(BackendError):
-        spectral_decompose(a)
-
-
 # -- spans --------------------------------------------------------------------
 
 
@@ -201,7 +127,6 @@ def test_span_of_no_vectors_and_masks_of_wrong_length_are_rejected(backend):
 def test_spectra_spans_and_masks_do_no_exact_complex_arithmetic(monkeypatch):
     rng = random.Random(3)
     basis = random_orthogonal_basis(rng, 3)
-    a = ray_sum(basis[:1], 3).scale(QSqrt2(0, 1)) + ray_sum(basis[1:], 3)
     vecs = [random_vector(rng, 3), random_vector(rng, 3)]
     psi = [exact_entry(x) for x in basis[0]]
     ctx = Context([Projector.from_ray(v, "exact") for v in basis])
@@ -211,7 +136,6 @@ def test_spectra_spans_and_masks_do_no_exact_complex_arithmetic(monkeypatch):
 
     for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
         monkeypatch.setattr(ExactComplex, name, refuse)
-    assert [p.rank for _, p in spectral_decompose(a)] == [2, 1]
     assert Projector.from_span(vecs, "exact").rank == 2
     assert largest_annihilating_mask(psi, ctx) == 0b110
 
@@ -250,18 +174,24 @@ def pauli(word):
 
 
 def test_peres_mermin_row_and_mermin_star_contexts():
-    row_ops = [pauli(w) for w in ("XI", "IX", "XX")]
-    star_ops = [pauli(w) for w in ("XXX", "XYY", "YXY", "YYX")]
-    row, star = algebra_from_operators(row_ops), algebra_from_operators(star_ops)
-    assert [p.rank for p in row.atoms] == [1] * 4
-    assert [p.rank for p in star.atoms] == [1] * 8
+    # the joint eigenrays: products of X eigenvectors for the row, and the
+    # GHZ pairs |x> +- |x with every bit flipped> for the star
+    row = Context([Projector.from_ray([1, a, b, a * b], "exact")
+                   for a, b in product((1, -1), repeat=2)])
+    star = Context([Projector.from_ray([int(k == x) + s * int(k == 7 - x) for k in range(8)],
+                                       "exact")
+                    for x in range(4) for s in (1, -1)])
     # the ids the row-reduction eigenprojectors gave these contexts
     assert (row.id, star.id) == ("1f6e98cfcd234968", "ccee9a48ef2476b4")
-    for atom in star.atoms:
-        product = 1
-        for op in star_ops:
-            image = op @ atom.matrix
-            sign = 1 if image.close_to(atom.matrix) else -1
-            assert image.close_to(atom.matrix.scale(sign))
-            product *= sign
-        assert product == -1
+    # XI IX = XX, while XXX XYY YXY YYX = -I
+    for ctx, words, parity in ((row, ("XI", "IX", "XX"), 1),
+                               (star, ("XXX", "XYY", "YXY", "YYX"), -1)):
+        ops = [pauli(w) for w in words]
+        for atom in ctx.atoms:
+            signs = 1
+            for op in ops:
+                image = op @ atom.matrix
+                sign = 1 if image.close_to(atom.matrix) else -1
+                assert image.close_to(atom.matrix.scale(sign))
+                signs *= sign
+            assert signs == parity

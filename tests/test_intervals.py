@@ -16,21 +16,13 @@ from qcontexts.intervals import (
     global_element_from_valuation,
     ideal_valuation,
     interval_from_global_element,
-    interval_from_valuation,
     largest_annihilating_mask,
-    operator_interval,
     probability_family,
     support,
-    true_set,
     true_subobject,
+    _true_set_infimum,
 )
-from qcontexts.linalg import (
-    DensityMatrix,
-    EigenvalueFunction,
-    Projector,
-    apply_function,
-    born_probability,
-)
+from qcontexts.linalg import DensityMatrix, Projector, born_probability
 from qcontexts.valuations import ValuationTable, presheaf_tables, valuation_table
 
 
@@ -38,6 +30,11 @@ def diag_poset(d: int, backend: str = "exact"):
     eye = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     v = Context([Projector.from_ray(eye[i], backend) for i in range(d)])
     return v, build_poset(all_coarsenings(v))
+
+
+def true_masks(table: ValuationTable, cid: str) -> set:
+    """The stage's true-set: the masks valued at its principal sieve."""
+    return {m for m, s in enumerate(table.maps[cid]) if s == table.down[cid]}
 
 
 def atom_index(v: Context, proj: Projector) -> int:
@@ -97,22 +94,13 @@ def test_true_subobject_weak_condition_random():
         assert report["ok"], report
 
 
-def test_interval_from_valuation_equals_true_subobject_at_r1():
-    rng = make_rng(901)
-    poset = random_poset(rng, 3)
-    rho = random_density(rng, 3)
-    tables = presheaf_tables(rho, poset, 1)
-    assignment = interval_from_valuation(valuation_table(tables), poset)
-    assert assignment.sets == true_subobject(tables).sets
-
-
 def test_interval_can_be_empty_for_thresholds():
     v, poset = diag_poset(3)
     rho = DensityMatrix.from_diag([Fraction(1, 2), Fraction(1, 2), 0], "exact")
     table = valuation_table(presheaf_tables(rho, poset, Fraction(1, 2)))
-    assignment = interval_from_valuation(table, poset)
     # two disjoint true elements at the maximal stage force an empty infimum
-    assert assignment.sets[v.id] == 0
+    assert len(true_masks(table, v.id)) > 1
+    assert _true_set_infimum(table, v.id) == 0
 
 
 def test_empty_true_set_has_the_zero_infimum():
@@ -123,8 +111,8 @@ def test_empty_true_set_has_the_zero_infimum():
     maps = {cid: list(stage) for cid, stage in table.maps.items()}
     maps[v.id][-1] = 0
     broken = ValuationTable(table.tables, maps)
-    assert true_set(broken, v.id) == set()
-    assert interval_from_valuation(broken, poset).sets[v.id] == 0
+    assert true_masks(broken, v.id) == set()
+    assert _true_set_infimum(broken, v.id) == 0
 
 
 def test_spectral_subobject_reports_a_set_that_misses_the_image():
@@ -147,25 +135,10 @@ def test_true_set_contains_top_never_bottom():
     rho = random_density(rng, 3)
     table = valuation_table(presheaf_tables(rho, poset, 1))
     for cid in poset.ids():
-        ts = true_set(table, cid)
+        ts = true_masks(table, cid)
         n = poset.contexts[cid].n_atoms
-        assert LatticeElement(cid, (1 << n) - 1) in ts
-        assert LatticeElement(cid, 0) not in ts
-
-
-def test_operator_interval_functoriality():
-    # the induced per-operator value sets push through functional calculus
-    v, poset = diag_poset(3, "float")
-    rho = DensityMatrix.from_diag([0.5, 0.5, 0.0], "float")
-    assignment = true_subobject(presheaf_tables(rho, poset, 1))
-    from qcontexts.linalg import HermitianOperator
-
-    a = HermitianOperator.diag([-1, 0, 2], "float")
-    f = EigenvalueFunction({-1: 1, 0: 0, 2: 4})
-    b = apply_function(a, f)
-    da = operator_interval(assignment, a, v)
-    db = operator_interval(assignment, b, v)
-    assert db == {float(f.at(x, "float")) for x in da}
+        assert (1 << n) - 1 in ts
+        assert 0 not in ts
 
 
 # -- global elements of the coarse-graining presheaf ---------------------------
@@ -204,10 +177,10 @@ def test_global_element_fails_for_thresholds():
     p12 = Projector.from_span([[0, 1, 0], [0, 0, 1]], "exact")
     v2 = Context([e0, p12])
     table_inf = {cid: None for cid in poset.ids()}
-    ts2 = true_set(table, v2.id)
+    ts2 = true_masks(table, v2.id)
     inf2 = (1 << 2) - 1
-    for e in ts2:
-        inf2 &= e.mask
+    for m in ts2:
+        inf2 &= m
     assert inf2 == 0b11  # identity: only the top element has weight >= 0.6
 
 

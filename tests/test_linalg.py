@@ -9,13 +9,10 @@ from conftest import make_rng, random_density, random_unitary
 from qcontexts.linalg import (
     BackendError,
     DensityMatrix,
-    EigenvalueFunction,
     HermitianOperator,
     Projector,
     ValidationError,
-    apply_function,
     born_probability,
-    spectral_decompose,
 )
 from qcontexts.scalars import QSqrt2, get_eps, set_eps
 
@@ -139,52 +136,6 @@ def test_projector_order_and_orthogonality():
 def test_non_idempotent_rejected():
     with pytest.raises(ValidationError):
         Projector(HermitianOperator.from_entries([[2, 0], [0, 0]], "float"))
-
-
-def test_spectral_decompose_float_random():
-    rng = make_rng(7)
-    for d in (2, 3, 4, 5):
-        u = random_unitary(rng, d)
-        w = np.sort(rng.standard_normal(d))
-        a = HermitianOperator.from_entries((u * w) @ u.conj().T, "float", validate=False)
-        decomp = spectral_decompose(a)
-        recon = sum(lam * p.matrix.to_complex_array() for lam, p in decomp)
-        total = sum(p.matrix.to_complex_array() for _, p in decomp)
-        assert np.allclose(recon, a.to_complex_array(), atol=1e-8)
-        assert np.allclose(total, np.eye(d), atol=1e-8)
-
-
-def test_spectral_decompose_merges_degenerate_floats():
-    a = HermitianOperator.diag([1.0, 1.0, 2.0], "float")
-    decomp = spectral_decompose(a)
-    assert [p.rank for _, p in decomp] == [2, 1]
-
-
-def test_spectral_decompose_exact():
-    # eigenvalues 0 and 2 on the +/- basis of sqrt(2)*X + identity... keep simple:
-    a = HermitianOperator.from_entries([[1, 1], [1, 1]], "exact")
-    decomp = spectral_decompose(a)
-    assert [lam for lam, _ in decomp] == [QSqrt2(0), QSqrt2(2)]
-    assert decomp[1][1] == Projector.from_ray([1, 1], "exact")
-
-
-def test_spectral_decompose_exact_sqrt2_eigenvalues():
-    a = HermitianOperator.from_entries([[0, [0, 1]], [[0, 1], 0]], "exact")
-    decomp = spectral_decompose(a)
-    assert [lam for lam, _ in decomp] == [QSqrt2(0, -1), QSqrt2(0, 1)]
-
-
-def test_spectral_decompose_exact_rejects_irrational_outside_field():
-    a = HermitianOperator.from_entries([[0, 1], [1, 1]], "exact")  # golden-ratio spectrum
-    with pytest.raises(BackendError):
-        spectral_decompose(a)
-
-
-def test_apply_function_square():
-    a = HermitianOperator.diag([-1, 0, 2], "float")
-    f = EigenvalueFunction({-1: 1, 0: 0, 2: 4})
-    b = apply_function(a, f)
-    assert np.allclose(b.to_complex_array(), np.diag([1, 0, 4]).astype(complex))
 
 
 def test_density_validation():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcontexts.coarse import AugmentedProposition, LatticeElement
+from qcontexts.coarse import LatticeElement
 from qcontexts.contexts import Context, SpectralFunctional, StateOnContext, build_poset
 from qcontexts.intervals import CoarseGlobalElement, IntervalAssignment, ProjectorFamily
 from qcontexts.ks import CompiledProblem, SectionAssignment
@@ -25,8 +25,6 @@ def records():
     builds equal values that are distinct objects where the type allows."""
     return [
         (LatticeElement, ("context_id", "mask"), lambda: ("c", 5)),
-        (AugmentedProposition, ("context_id", "element", "witnesses"),
-         lambda: ("c", LatticeElement("c", 1), (("op", (Fraction(1),)),))),
         (SpectralFunctional, ("context_id", "index"), lambda: ("c", 1)),
         (StateOnContext, ("context_id", "weights"),
          lambda: ("c", (Fraction(1, 2), QSqrt2(Fraction(1, 2))))),

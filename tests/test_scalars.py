@@ -11,7 +11,6 @@ from qcontexts.scalars import (
     QSqrt2,
     as_fraction,
     exact_entry,
-    recognize_qsqrt2,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -88,15 +87,3 @@ def test_as_fraction_rejects_inexact_float():
     assert as_fraction(2.0) == 2
     with pytest.raises(ValueError):
         as_fraction(0.1)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [QSqrt2(1), QSqrt2(0, 1), QSqrt2(Fraction(1, 2), Fraction(-1, 2)), QSqrt2(-3, 2)],
-)
-def test_recognition_roundtrip(value):
-    assert recognize_qsqrt2(float(value)) == value
-
-
-def test_recognition_rejects_garbage():
-    assert recognize_qsqrt2(math.pi) is None

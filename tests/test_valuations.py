@@ -12,9 +12,8 @@ from qcontexts.valuations import (
     ValuationTable,
     check_valuation,
     natural_transformation_check,
-    principal_sieve,
+    _down_masks,
     presheaf_tables,
-    state_valuation,
     valuation_table,
 )
 
@@ -36,16 +35,16 @@ def mask_of(v: Context, proj: Projector) -> int:
 def test_principal_sieve_is_the_down_set():
     _, poset = diag_poset(3)
     for stage in poset.ids():
-        assert sieve_members(poset, principal_sieve(poset, stage)) == set(poset.below(stage))
+        assert sieve_members(poset, _down_masks(poset)[stage]) == set(poset.below(stage))
 
 
 def test_pullback_intersects_downset():
     _, poset = diag_poset(3)
     stage = max(poset.ids(), key=lambda c: poset.contexts[c].n_atoms)
-    s = principal_sieve(poset, stage)
+    s = _down_masks(poset)[stage]
     for target in poset.below(stage):
-        t = s & principal_sieve(poset, target)
-        assert t == principal_sieve(poset, target)
+        t = s & _down_masks(poset)[target]
+        assert t == _down_masks(poset)[target]
 
 
 def test_all_zero_image_array_is_not_a_lower_set():
@@ -69,14 +68,15 @@ def test_probability_one_valuation_pure_state():
     rho = DensityMatrix.pure([1, 0, 0], "exact")
     p0 = Projector.from_ray([1, 0, 0], "exact")
     elem = LatticeElement(v.id, mask_of(v, p0))
-    sieve = state_valuation(rho, elem, poset)
+    sieve = valuation_table(presheaf_tables(rho, poset, 1)).sieve(elem)
     # true wherever the coarse-graining of P0 keeps probability 1: everywhere
     # below v whose coarse atom containing e0 has weight 1 -- all of them
-    assert sieve == principal_sieve(poset, v.id)
+    assert sieve == _down_masks(poset)[v.id]
     # an atom orthogonal to the state is true only where coarse-graining
     # merges it with e0: the {e0+e1, e2} context and the bottom
     p1 = Projector.from_ray([0, 1, 0], "exact")
-    sieve1 = state_valuation(rho, LatticeElement(v.id, mask_of(v, p1)), poset)
+    sieve1 = valuation_table(presheaf_tables(rho, poset, 1)).sieve(
+        LatticeElement(v.id, mask_of(v, p1)))
     p01 = Projector.from_span([[1, 0, 0], [0, 1, 0]], "exact")
     merged = Context([p01, Projector.from_ray([0, 0, 1], "exact")])
     assert sieve_members(poset, sieve1) == {merged.id, poset.bottom_id}
@@ -91,7 +91,7 @@ def test_probability_one_valuation_partial_sieve():
     rho = DensityMatrix.from_diag([Fraction(1, 2), Fraction(1, 2), 0], "exact")
     p0 = Projector.from_ray([1, 0, 0], "exact")
     elem = LatticeElement(v.id, mask_of(v, p0))
-    sieve = state_valuation(rho, elem, poset)
+    sieve = valuation_table(presheaf_tables(rho, poset, 1)).sieve(elem)
     p01 = Projector.from_span([[1, 0, 0], [0, 1, 0]], "exact")
     expected = set()
     for cid in poset.below(v.id):
@@ -154,13 +154,13 @@ def test_exclusivity_fails_below_half():
     assert cx["p"] & cx["q"] == 0
     # the canonical witness: at the maximal stage, the two weight-2/5 atoms
     # are each fully true, violating exclusivity
-    true_v = principal_sieve(poset, v.id)
+    true_v = _down_masks(poset)[v.id]
     heavy = [i for i, a in enumerate(v.atoms)
              if float((rho.matrix @ a.matrix).real_trace()) == 0.4]
     assert len(heavy) == 2
     for i in heavy:
         elem = LatticeElement(v.id, 1 << i)
-        assert state_valuation(rho, elem, poset, r=Fraction(3, 10)) == true_v
+        assert table.sieve(elem) == true_v
 
 
 def sum_mask(v: Context, mask: int):
@@ -194,7 +194,7 @@ def test_unit_condition_at_every_stage():
     rho = random_density(rng, 3)
     table = valuation_table(presheaf_tables(rho, poset, 1))
     for cid in poset.ids():
-        assert table.sieve(top(poset.contexts[cid])) == principal_sieve(poset, cid)
+        assert table.sieve(top(poset.contexts[cid])) == _down_masks(poset)[cid]
 
 
 def test_null_failure_does_not_hide_unit_failures():
