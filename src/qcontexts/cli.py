@@ -106,9 +106,8 @@ def _parse_r(args):
     return r
 
 
-def _presheaf_tables(args, poset) -> valuations.PresheafTables:
-    """The state's presheaf tables at the command's threshold."""
-    r = _parse_r(args)
+def _presheaf_tables(args, poset, r) -> valuations.PresheafTables:
+    """The state's presheaf tables at the threshold r."""
     rho = _parse_state(args.state, poset.dim, poset.backend)
     return valuations.presheaf_tables(rho, poset, r)
 
@@ -207,8 +206,9 @@ def cmd_build_poset(args) -> int:
 
 
 def cmd_valuate(args) -> int:
+    r = _parse_r(args)
     poset = _load_poset(args)
-    table = valuations.valuation_table(_presheaf_tables(args, poset))
+    table = valuations.valuation_table(_presheaf_tables(args, poset, r))
     axioms = valuations.check_valuation(
         table, require_exclusivity=not args.no_exclusivity,
         require_unit=not args.no_unit,
@@ -226,8 +226,9 @@ def cmd_valuate(args) -> int:
 def cmd_intervals(args) -> int:
     if args.no_unit:
         raise ValidationError("--no-unit does not apply to intervals")
+    r = _parse_r(args)
     poset = _load_poset(args)
-    tables = _presheaf_tables(args, poset)
+    tables = _presheaf_tables(args, poset, r)
     table = valuations.valuation_table(tables)
 
     true_sub = intervals.true_subobject(tables)
@@ -283,8 +284,9 @@ def cmd_ks_check(args) -> int:
 
 
 def cmd_verify_axioms(args) -> int:
+    r = _parse_r(args)
     poset = _load_poset(args)
-    tables = _presheaf_tables(args, poset)
+    tables = _presheaf_tables(args, poset, r)
     table = valuations.valuation_table(tables)
     maps = coarse.projector_restrictions(poset)
 

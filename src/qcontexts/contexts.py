@@ -158,30 +158,24 @@ def restrict_functional(k: SpectralFunctional, v1: Context, v2: Context) -> Spec
     return SpectralFunctional(v2.id, rmap[k.index])
 
 
-def _overlap_groups(n1: int, n2: int, overlaps):
-    """The atoms 0..n1-1 of a first context, grouped by the components of
-    the overlap graph they form with the atoms 0..n2-1 of a second one
-    (``overlaps(i, j)``: atom i of the first is not orthogonal to atom j of
-    the second). Each group is ascending; groups come in order of their
-    first atom."""
-    parent = list(range(n1 + n2))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n1):
-        for j in range(n2):
-            if overlaps(i, j):
-                rx, ry = find(i), find(n1 + j)
-                if rx != ry:
-                    parent[rx] = ry
-    groups: dict[int, list[int]] = {}
-    for i in range(n1):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+def _overlap_groups(masks):
+    """The atoms 0..n-1 of a first context, grouped by the components of
+    the overlap graph they form with the atoms of a second one: ``masks[i]``
+    holds the second context's atoms that atom i is not orthogonal to, as
+    bits in any one numbering. Atom i joins each group whose masks' OR meets
+    its mask; those ORs are disjoint, so one pass finds the components.
+    Each group is ascending; groups come in order of their first atom."""
+    groups = []  # (the group's atoms as bits, the OR of their masks)
+    for i, reach in enumerate(masks):
+        group, apart = 1 << i, []
+        for g, r in groups:
+            if r & reach:
+                group |= g
+                reach |= r
+            else:
+                apart.append((g, r))
+        groups = apart + [(group, reach)]
+    return sorted(list(_bits(g)) for g, _ in groups)
 
 
 def _block_atom(atoms, block) -> Projector:
@@ -200,7 +194,8 @@ def meet(v1: Context, v2: Context) -> Context:
     if v1.dim != v2.dim:
         raise ValidationError("dimension mismatch")
     a1, a2 = v1.atoms, v2.atoms
-    groups = _overlap_groups(len(a1), len(a2), lambda i, j: not a1[i].orthogonal_to(a2[j]))
+    groups = _overlap_groups([sum(1 << j for j, b in enumerate(a2) if not a.orthogonal_to(b))
+                              for a in a1])
     if len(groups) == len(a1):
         return v1
     if len(groups) == 1:
@@ -330,7 +325,8 @@ class ContextPoset:
 
 
 def build_poset(generators, close_under_meet: bool = False, dim: int | None = None,
-                backend: str = "float", coarsenings: bool = False) -> ContextPoset:
+                backend: str = "float", coarsenings: bool = False,
+                table: "_AtomTable | None" = None) -> ContextPoset:
     """Assemble a poset from generator contexts.
 
     Deduplicates (a later generator with a given id replaces an earlier one,
@@ -340,7 +336,8 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
     With ``coarsenings`` the generators are replaced by every coarsening of
     each (the contexts of ``all_coarsenings``), and a generator with more
     than ``COARSENING_ATOM_BOUND`` atoms is refused before any is built.
-    Every one of these decisions is read from one ``_AtomTable``.
+    Every one of these decisions is read from one ``_AtomTable``, a new one
+    or a copy of ``table``, whose relations are then not decided again.
     """
     if generators:
         dim = generators[0].dim
@@ -350,7 +347,7 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
     for g in generators:
         if g.dim != dim or g.backend != backend:
             raise ValidationError("generators disagree on dim or backend")
-    table = _AtomTable()
+    table = _AtomTable() if table is None else table.copy()
     if coarsenings:
         for g in generators:
             _check_coarsening_bound(g)
@@ -369,7 +366,8 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
 
 
 class _AtomTable:
-    """The distinct atoms of one poset build and their pairwise relations.
+    """The distinct atoms of one poset build, or of one ray set, and their
+    pairwise relations.
 
     Atoms are interned by canonical key and their relations kept as int
     bitmasks over atom indices: ``above[i]`` holds the atoms >= atom i,
@@ -391,6 +389,12 @@ class _AtomTable:
         self.atoms = []
         self.above = []
         self.overlap = []
+
+    def copy(self) -> "_AtomTable":
+        t = _AtomTable()
+        t.index, t.atoms = dict(self.index), list(self.atoms)
+        t.above, t.overlap = list(self.above), list(self.overlap)
+        return t
 
     def _add(self, p: Projector, above: int, overlap: int) -> int:
         i = len(self.atoms)
@@ -535,7 +539,7 @@ def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
                 # side connects the overlap graph: the meet is trivial
                 if any(o & m2 == m2 for o in ov) and any(table.overlap[b] & m1 == m1 for b in r2):
                     continue
-                groups = _overlap_groups(len(r1), len(r2), lambda x, y: ov[x] >> r2[y] & 1)
+                groups = _overlap_groups([o & m2 for o in ov])
                 if len(groups) in (1, len(r1)):
                     continue
                 atoms, mask = [], 0

@@ -18,6 +18,8 @@ from .contexts import (
     Context,
     ContextPoset,
     SpectralFunctional,
+    _AtomTable,
+    _bits,
     build_poset,
     restrict_functional,
 )
@@ -28,22 +30,22 @@ from .records import Record
 class RaySet:
     """Deduplicated rays with the orthogonal bases found among them.
 
+    The set's own ``_AtomTable`` deduplicates the rays and decides each pair
+    of them once; bases, pair contexts and the poset build read its masks.
     Declared bases index the rays as given, duplicates included; they are
-    stored against the deduplicated rays.
+    stored, sorted, against the deduplicated rays.
     """
 
-    __slots__ = ("dim", "backend", "rays", "projectors", "bases")
+    __slots__ = ("dim", "rays", "projectors", "table", "bases")
 
-    def __init__(self, dim: int, rays, backend: str = "exact", bases=None):
+    def __init__(self, dim: int, rays, bases=None):
         if not _is_index(dim) or not 1 <= dim <= DIM_BOUND:
             raise ValidationError(f"dim must be an integer in [1, {DIM_BOUND}], got {dim!r}")
         if not isinstance(rays, (list, tuple)):
             raise ValidationError("rays must be a list")
         self.dim = dim
-        self.backend = backend
-        projectors = []
+        table = _AtomTable()
         kept = []
-        position = {}  # canonical key -> index among the kept rays
         where = []  # given ray index -> index among the kept rays
         for k, ray in enumerate(rays):
             if not isinstance(ray, (list, tuple)) or len(ray) != dim:
@@ -51,21 +53,21 @@ class RaySet:
             if any(_is_bad_entry(x) for x in ray):
                 raise ValidationError(f"ray {k} has a boolean or null entry")
             try:
-                p = Projector.from_ray(ray, backend)
+                p = Projector.from_ray(ray, "exact")
             except ValidationError:
                 raise
             except (ArithmeticError, TypeError, ValueError) as exc:
                 raise ValidationError(f"ray {k} has an entry that is not an exact "
                                       f"number ({type(exc).__name__}: {exc})") from None
-            if p.canonical_key not in position:
-                position[p.canonical_key] = len(projectors)
-                projectors.append(p)
+            i = table.intern(p)
+            if i == len(kept):  # a ray not seen before
                 kept.append(tuple(ray))
-            where.append(position[p.canonical_key])
+            where.append(i)
         self.rays = tuple(kept)
-        self.projectors = tuple(projectors)
+        self.projectors = tuple(table.atoms)
+        self.table = table
         if bases is None:
-            bases = discover_bases(self.projectors, dim)
+            bases = discover_bases(table.overlap, dim)
         else:
             if not isinstance(bases, (list, tuple)):
                 raise ValidationError("bases must be a list")
@@ -73,7 +75,7 @@ class RaySet:
         self.bases = tuple(sorted(set(bases)))
 
     def _declared_basis(self, b, where) -> tuple:
-        """Check a basis of given ray indices; return it as kept-ray indices."""
+        """Check a basis of given ray indices; return its kept-ray indices, sorted."""
         if not isinstance(b, (list, tuple)) or len(b) != self.dim:
             raise ValidationError(f"basis {b!r} is not a list of {self.dim} ray indices")
         for i in b:
@@ -81,9 +83,9 @@ class RaySet:
                 raise ValidationError(f"basis {b!r}: {i!r} is not a ray index "
                                       f"in [0, {len(where)})")
         for i, j in combinations(b, 2):
-            if not self.projectors[where[i]].orthogonal_to(self.projectors[where[j]]):
+            if self.table.overlap[where[i]] >> where[j] & 1:
                 raise ValidationError(f"rays {i} and {j} in basis {b} are not orthogonal")
-        return tuple(where[i] for i in b)
+        return tuple(sorted(where[i] for i in b))
 
     @property
     def n_rays(self) -> int:  # perfbench/tracer.py reads it
@@ -109,25 +111,24 @@ def _is_bad_entry(x) -> bool:
     return False
 
 
-def discover_bases(projectors, dim: int):
-    """All maximal orthogonality cliques of size dim, as sorted index tuples."""
-    n = len(projectors)
-    orth = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            o = projectors[i].orthogonal_to(projectors[j])
-            orth[i][j] = orth[j][i] = o
+def discover_bases(overlap, dim: int):
+    """All orthogonal bases, as sorted index tuples in lexicographic order,
+    of the rays whose ``_AtomTable`` overlap masks are ``overlap``. A clique
+    grows only through the later rays orthogonal to all of it (Bron and
+    Kerbosch, without pivoting)."""
     bases = []
 
-    def extend(clique, start):
+    def extend(clique, candidates):
         if len(clique) == dim:
             bases.append(tuple(clique))
             return
-        for k in range(start, n):
-            if all(orth[c][k] for c in clique):
-                extend(clique + [k], k + 1)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            k = low.bit_length() - 1
+            extend(clique + [k], candidates & ~overlap[k])
 
-    extend([], 0)
+    extend([], (1 << len(overlap)) - 1)
     return bases
 
 
@@ -154,7 +155,7 @@ def load_rayset(source) -> RaySet:
     field = obj.get("field", "int")
     if field not in ("int", "quadratic_sqrt2"):
         raise ValidationError(f"unknown field {field!r}")
-    return RaySet(obj["dim"], obj["rays"], backend="exact", bases=obj.get("bases"))
+    return RaySet(obj["dim"], obj["rays"], bases=obj.get("bases"))
 
 
 def poset_from_rayset(rayset: RaySet, close: bool = True,
@@ -172,22 +173,19 @@ def poset_from_rayset(rayset: RaySet, close: bool = True,
     context below another is one of its coarsenings, so these are the
     coarsenings of the maximal contexts.
     """
-    gens = []
-    for b in rayset.bases:
-        gens.append(Context([rayset.projectors[i] for i in b]))
+    ps = rayset.projectors
+    # a basis's rays are pairwise orthogonal, and dim orthogonal rank-1
+    # projectors in dimension dim sum to the identity
+    gens = [Context([ps[i] for i in b], validate=False) for b in rayset.bases]
     if include_pairs:
-        for i, j in combinations(range(len(rayset.projectors)), 2):
-            p, q = rayset.projectors[i], rayset.projectors[j]
-            if not p.orthogonal_to(q):
-                continue
-            rest = p.plus(q).complement()
-            atoms = [p, q] + ([] if rest.is_zero() else [rest])
-            gens.append(Context(atoms, validate=False))
-    if not gens:
-        return build_poset([], dim=rayset.dim, backend=rayset.backend)
-    if coarsenings:
-        return build_poset(gens, coarsenings=True)
-    return build_poset(gens, close_under_meet=close)
+        for i, p in enumerate(ps):
+            later = (1 << len(ps)) - (2 << i)  # the rays after ray i
+            for j in _bits(later & ~rayset.table.overlap[i]):
+                rest = Projector(p.matrix + ps[j].matrix, validate=False).complement()
+                atoms = [p, ps[j]] + ([] if rest.is_zero() else [rest])
+                gens.append(Context(atoms, validate=False))
+    return build_poset(gens, close_under_meet=close and not coarsenings, dim=rayset.dim,
+                       backend="exact", coarsenings=coarsenings, table=rayset.table)
 
 
 # ---------------------------------------------------------------------------

@@ -335,10 +335,8 @@ class HermitianOperator:
         return {"dim": d, "re": re, "im": im}
 
     @classmethod
-    def from_json(cls, obj: dict, backend: str = "float"):
+    def from_json(cls, obj: dict):
         dim, data = _json_operator(obj)
-        if backend != "float":
-            raise BackendError("operator JSON deserializes to the float backend")
         return cls(dim, data, "float")
 
     def __repr__(self):
@@ -498,12 +496,6 @@ class Projector:
     def complement(self) -> "Projector":
         eye = HermitianOperator.identity(self.dim, self.backend)
         return Projector(eye - self.matrix, validate=False)
-
-    def plus(self, other: "Projector") -> "Projector":
-        """Sum of orthogonal projectors."""
-        if not self.orthogonal_to(other):
-            raise ValidationError("projectors are not orthogonal")
-        return Projector(self.matrix + other.matrix, validate=False)
 
     def orthogonal_to(self, other: "Projector") -> bool:
         """PQ = 0, decided via tr(PQ) = 0 (equivalent for projectors)."""

@@ -13,7 +13,9 @@ from qcontexts.linalg import ValidationError
 
 
 def reference_build_poset(generators, close_under_meet: bool = False, dim: int | None = None,
-                          backend: str = "float", coarsenings: bool = False) -> ContextPoset:
+                          backend: str = "float", coarsenings: bool = False,
+                          table=None) -> ContextPoset:
+    # ``table`` is accepted and ignored: every relation is decided afresh
     if coarsenings:
         generators = [c for g in generators for c in all_coarsenings(g)]
     if generators:

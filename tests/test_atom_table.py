@@ -148,10 +148,8 @@ def test_block_sums_are_not_traced(monkeypatch, argv, bound):
     assert len(calls) <= bound
 
 
-def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
-    # the ray generators go straight into the coarsening build, so no second
-    # atom table traces the rays again: 432 calls when the ray poset was
-    # built first and its maximal contexts were rebuilt with their coarsenings
+def orthogonal_to_calls(monkeypatch, tmp_path, argv) -> int:
+    """The ``Projector.orthogonal_to`` calls of one whole command."""
     calls = []
     original = Projector.orthogonal_to
 
@@ -160,9 +158,30 @@ def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Projector, "orthogonal_to", counting)
-    assert cli.main(["intervals", "--rays", "ks18", "--coarsenings",
-                     "--output", str(tmp_path / "out.json")]) == 0
-    assert len(calls) <= 279
+    assert cli.main(argv + ["--output", str(tmp_path / "out.json")]) == 0
+    return len(calls)
+
+
+def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
+    # the C(18, 2) = 153 ray pairs, in the ray set's table; the coarsening
+    # build starts from a copy of it and derives every block sum, the
+    # identity included. 432 calls when the ray poset was built first and
+    # its maximal contexts were rebuilt with their coarsenings; 279 when
+    # basis discovery and the build each traced the rays
+    argv = ["intervals", "--rays", "ks18", "--coarsenings"]
+    assert orthogonal_to_calls(monkeypatch, tmp_path, argv) <= 153
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # 153 ray pairs + the trivial context's identity against the 18 rays;
+    # 279 when basis discovery and the build each traced the rays
+    (["ks-check", "--rays", "ks18"], 171),
+    # 528 ray pairs + 33 for the identity + the pair complements' traces;
+    # 2,349 when the pair loop traced the rays a third time
+    (["ks-check", "--rays", "peres33", "--pairs"], 1653),
+])
+def test_ray_commands_trace_each_ray_pair_once(tmp_path, monkeypatch, argv, bound):
+    assert orthogonal_to_calls(monkeypatch, tmp_path, argv) <= bound
 
 
 def diag_atom(dim, k, value=1.0):

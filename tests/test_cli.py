@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import float_workload
 
+from qcontexts import ks
 from qcontexts.cli import main
 from qcontexts.contexts import DIM_BOUND
 from qcontexts.scalars import get_eps
@@ -149,6 +150,18 @@ def test_zero_denominator_threshold_exits_2(capsys):
     code, out = run(capsys, "valuate", "--rays", "dim2_two_bases", "--r", "1/0")
     assert code == 2
     assert out.count("\n") == 1 and "zero denominator" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["valuate", "intervals", "verify-axioms"])
+def test_bad_threshold_is_refused_before_the_build(capsys, monkeypatch, command):
+    # --r needs no poset, so it is parsed before any is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the poset was built")
+
+    monkeypatch.setattr(ks, "poset_from_rayset", no_build)
+    code, out = run(capsys, command, "--rays", "peres33", "--pairs", "--r", "2")
+    assert code == 2
+    assert out.count("\n") == 1 and "threshold r" in json.loads(out)["error"]
 
 
 def test_state_too_large_for_floats_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     context_from_columns,
@@ -18,6 +20,7 @@ from qcontexts.contexts import (
     ContextPoset,
     SpectralFunctional,
     StateOnContext,
+    _overlap_groups,
     all_coarsenings,
     build_poset,
     check_state_global_element,
@@ -90,6 +93,40 @@ def test_meet_is_greatest_lower_bound():
         v2 = coarsen_columns(u, blocks)
         m = meet(v1, v2)
         assert m.id == v2.id  # v2 is already below v1
+
+
+def components_by_search(masks):
+    """Breadth-first search over the bipartite overlap graph: first-context
+    atom ("a", i) meets second-context atom ("b", j) when bit j of masks[i]
+    is set. The groups of first-context atoms, as ``_overlap_groups`` lists
+    them."""
+    n2 = max(masks).bit_length()
+    nbrs = {("a", i): [("b", j) for j in range(n2) if m >> j & 1] for i, m in enumerate(masks)}
+    for j in range(n2):
+        nbrs[("b", j)] = [("a", i) for i, m in enumerate(masks) if m >> j & 1]
+    seen, groups = set(), []
+    for i in range(len(masks)):
+        if ("a", i) in seen:
+            continue
+        seen.add(("a", i))
+        queue, group = [("a", i)], []
+        while queue:
+            node = queue.pop(0)
+            if node[0] == "a":
+                group.append(node[1])
+            for nb in nbrs[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+        groups.append(sorted(group))
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n2: st.lists(st.integers(0, (1 << n2) - 1), min_size=1, max_size=7)))
+def test_overlap_groups_are_the_overlap_components(masks):
+    assert _overlap_groups(masks) == components_by_search(masks)
 
 
 def test_all_coarsenings_count():

@@ -1,6 +1,9 @@
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontexts.contexts import Context, build_poset
 from qcontexts.ks import (
@@ -36,6 +39,12 @@ def test_declared_bases_index_rays_as_given():
     assert rs.bases == ((0, 1, 2),)
 
 
+def test_declared_bases_are_stored_once_in_canonical_form():
+    rs = RaySet(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], bases=[[0, 1, 2], [2, 1, 0]])
+    assert rs.bases == ((0, 1, 2),)
+    assert len(poset_from_rayset(rs)) == 2
+
+
 def test_declared_nonorthogonal_basis_rejected():
     with pytest.raises(ValidationError):
         RaySet(2, [[1, 0], [1, 1]], bases=[[0, 1]])
@@ -54,7 +63,7 @@ def test_ray_entry_check_survives_any_nesting_depth():
 
 def test_basis_discovery_matches_declaration():
     rs = load_rayset("ks18")
-    found = discover_bases(rs.projectors, 4)
+    found = discover_bases(rs.table.overlap, 4)
     assert sorted(found) == sorted(rs.bases)
     # each ray sits in exactly two bases
     counts = [0] * rs.n_rays
@@ -62,6 +71,19 @@ def test_basis_discovery_matches_declaration():
         for i in b:
             counts[i] += 1
     assert counts == [2] * 18
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4]).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.lists(st.integers(-1, 1), min_size=d, max_size=d).filter(any), max_size=12))))
+def test_discovered_bases_are_the_orthogonal_combinations(dim_rays):
+    dim, rays = dim_rays
+    rs = RaySet(dim, rays)
+    ps = rs.projectors
+    want = [c for c in combinations(range(len(ps)), dim)
+            if all(ps[i].orthogonal_to(ps[j]) for i, j in combinations(c, 2))]
+    assert discover_bases(rs.table.overlap, dim) == want
+    assert rs.bases == tuple(want)
 
 
 def test_single_basis_poset_sections():

@@ -306,7 +306,7 @@ def _context_pool(name):
             pool[c.id] = c
     for p, q in combinations(rs.projectors, 2):
         if p.orthogonal_to(q):
-            rest = p.plus(q).complement()
+            rest = Projector(p.matrix + q.matrix, validate=False).complement()
             c = Context([p, q] + ([] if rest.is_zero() else [rest]))
             pool[c.id] = c
     return [pool[cid] for cid in sorted(pool)]
