@@ -331,13 +331,16 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
 
     Deduplicates (a later generator with a given id replaces an earlier one,
     and the trivial context replaces any generator equal to it), always adds
-    the trivial context, optionally closes under pairwise meets to a fixed
-    point, then computes the full order relation and the restriction maps.
-    With ``coarsenings`` the generators are replaced by every coarsening of
-    each (the contexts of ``all_coarsenings``), and a generator with more
-    than ``COARSENING_ATOM_BOUND`` atoms is refused before any is built.
-    Every one of these decisions is read from one ``_AtomTable``, a new one
-    or a copy of ``table``, whose relations are then not decided again.
+    the trivial context, optionally closes under pairwise meets, then
+    computes the full order relation and the restriction maps. With
+    ``coarsenings`` the generators are replaced by every coarsening of each
+    (the contexts of ``all_coarsenings``), and a generator with more than
+    ``COARSENING_ATOM_BOUND`` atoms is refused before any is built. Every
+    one of these decisions is read from one ``_AtomTable``, a new one or a
+    copy of ``table``, whose relations are then not decided again. The
+    trivial context's identity is the sum of any other context's atoms, so
+    it is interned as that block sum; only a build with no other context
+    traces it.
     """
     if generators:
         dim = generators[0].dim
@@ -358,8 +361,15 @@ def build_poset(generators, close_under_meet: bool = False, dim: int | None = No
     triv = Context.trivial(dim, backend)
     contexts[triv.id] = triv
     for cid, v in contexts.items():
-        if cid not in rows:
+        if cid not in rows and cid != triv.id:
             rows[cid] = table.row(v)
+    if triv.id not in rows:
+        whole = next(iter(rows.values()), None)
+        if whole is None:
+            rows[triv.id] = table.row(triv)
+        else:
+            _, i = table.intern_sum(_mask(whole), 0, lambda: triv.atoms[0])
+            rows[triv.id] = (i,)
     if close_under_meet:
         _close_under_meet(contexts, rows, table)
     return _ordered_poset(contexts, rows, table, triv.id)
@@ -374,12 +384,14 @@ class _AtomTable:
     ``overlap[i]`` the atoms not orthogonal to atom i. Each atom is in both
     of its own masks by definition, not by a test with a tolerance. A
     context is then the tuple of its atoms' indices, in its own atom order
-    (its "row").
+    (its "row"). The table is the build's only cache of atoms.
 
     ``intern`` decides a new atom's relations to every earlier atom once per
     pair, with ``Projector.orthogonal_to`` and at most one
-    ``Projector.leq``. ``intern_sum`` derives an exact sum of atoms of an
-    interned context from its parts' bits, with no trace (see there).
+    ``Projector.leq``. ``intern_sum`` finds an exact sum of atoms of an
+    interned context by its parts' bits, and derives its relations from
+    them when it is new, with no trace (see there). Both hand the new
+    atom's masks to ``_add``, the one writer of relation bits.
     """
 
     __slots__ = ("index", "atoms", "above", "overlap")
@@ -396,25 +408,31 @@ class _AtomTable:
         t.above, t.overlap = list(self.above), list(self.overlap)
         return t
 
-    def _add(self, p: Projector, above: int, overlap: int) -> int:
+    def _add(self, p: Projector, above: int, below: int, overlap: int) -> int:
+        """Append p, under the atoms of mask ``above``, over those of
+        ``below`` and overlapping those of ``overlap``; set their bits too."""
         i = len(self.atoms)
+        bit = 1 << i
         self.index[p.canonical_key] = i
         self.atoms.append(p)
-        self.above.append(above | 1 << i)
-        self.overlap.append(overlap | 1 << i)
+        self.above.append(above | bit)
+        self.overlap.append(overlap | bit)
+        for j in _bits(overlap):
+            self.overlap[j] |= bit
+            if below >> j & 1:
+                self.above[j] |= bit
         return i
 
     def intern(self, p: Projector) -> int:
         i = self.index.get(p.canonical_key)
         if i is not None:
             return i
-        i = self._add(p, 0, 0)
         exact = p.backend == "exact"
-        for j, q in enumerate(self.atoms[:i]):
+        above = below = overlap = 0
+        for j, q in enumerate(self.atoms):
             if p.orthogonal_to(q):
                 continue
-            self.overlap[i] |= 1 << j
-            self.overlap[j] |= 1 << i
+            overlap |= 1 << j
             # Distinct exact keys are distinct projectors, and of two
             # distinct projectors of equal rank neither lies under the
             # other. Float keys round at 1e-6 while leq allows 1e-8 on the
@@ -423,39 +441,43 @@ class _AtomTable:
                 continue
             # P <= Q needs rank P <= rank Q, and at equal ranks P <= Q iff
             # Q <= P (both read tr(PQ) = rank): one order test decides both
-            lo, hi = (i, j) if p.rank <= q.rank else (j, i)
-            if self.atoms[lo].leq(self.atoms[hi]):
-                self.above[lo] |= 1 << hi
-                if p.rank == q.rank:
-                    self.above[hi] |= 1 << lo
-        return i
+            if p.rank <= q.rank:
+                if p.leq(q):
+                    above |= 1 << j
+                    if p.rank == q.rank:
+                        below |= 1 << j
+            elif q.leq(p):
+                below |= 1 << j
+        return self._add(p, above, below, overlap)
 
-    def intern_sum(self, p: Projector, block: int, rest: int) -> int:
-        """Intern p, the sum of the atoms in mask ``block`` of an interned
-        context whose other atoms are the mask ``rest``.
+    def intern_sum(self, block: int, rest: int, build) -> tuple:
+        """The atom and index of S, the sum of the atoms in mask ``block`` of
+        an interned context whose other atoms are the mask ``rest``.
+        ``build()`` makes S as a ``Projector``.
 
-        An exact p takes its relations from its parts'. Each tr(PᵢX) is
-        >= 0, so p overlaps X iff some part does; p <= X iff every part is;
-        and X <= p iff X is orthogonal to I - p, the sum of ``rest``. A
-        rounded float sum is not exactly the sum of its parts, so a float p
-        is interned by its traces.
+        For an exact S each tr(PᵢX) is >= 0, so S overlaps X iff some part
+        does; S <= X iff every part is; and X <= S iff X is orthogonal to
+        I - S, the sum of ``rest``. So an interned X is S iff it lies above
+        every part and overlaps no atom of ``rest``, and ``build`` runs only
+        when no X does. A rounded float sum is not exactly the sum of its
+        parts, so a float S is built and interned by its traces.
         """
-        if p.backend != "exact":
-            return self.intern(p)
-        i = self.index.get(p.canonical_key)
-        if i is not None:
-            return i
+        if self.atoms[block.bit_length() - 1].backend != "exact":
+            p = build()
+            return p, self.intern(p)
         above, overlap = -1, 0
         for b in _bits(block):
             above &= self.above[b]
             overlap |= self.overlap[b]
-        i = self._add(p, above, overlap)
-        bit = 1 << i
+        for x in _bits(above):
+            if not self.overlap[x] & rest:
+                return self.atoms[x], x
+        below = 0
         for j in _bits(overlap):
-            self.overlap[j] |= bit
             if not self.overlap[j] & rest:
-                self.above[j] |= bit
-        return i
+                below |= 1 << j
+        p = build()
+        return p, self._add(p, above, below, overlap)
 
     def row(self, v: Context) -> tuple:
         return tuple(self.intern(a) for a in v.atoms)
@@ -473,6 +495,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _block(table: _AtomTable, v: Context, row, block, whole: int) -> tuple:
+    """The atom and table index of the sum of v's atoms at positions
+    ``block``, where ``row`` is v's row and ``whole`` its mask."""
+    if len(block) == 1:
+        return v.atoms[block[0]], row[block[0]]
+    bits = _mask(row[k] for k in block)
+    return table.intern_sum(bits, whole & ~bits, lambda: _block_atom(v.atoms, block))
+
+
 def _coarsenings(generators, table: _AtomTable):
     """Every coarsening of each generator, in ``all_coarsenings`` order, as
     contexts and rows keyed by id. As with generators, a later partition
@@ -480,28 +511,15 @@ def _coarsenings(generators, table: _AtomTable):
     once per distinct set of atoms.
 
     The generators' atoms are interned first, so each is traced against
-    the other generators' atoms only; then each block sum is built once per
-    generator and interned through ``intern_sum``, with no trace.
+    the other generators' atoms only; every block sum is then found or
+    derived by ``_block``, with no trace, and built once per build.
     """
     latest = {}  # atom mask -> the atoms of the last partition with them
     for v, row in [(v, table.row(v)) for v in generators]:
         whole = _mask(row)
-        sums = {}
         for part in _set_partitions(list(range(v.n_atoms))):
-            atoms, mask = [], 0
-            for block in part:
-                if len(block) == 1:
-                    atom, idx = v.atoms[block[0]], row[block[0]]
-                else:
-                    key = tuple(block)
-                    if key not in sums:
-                        atom = _block_atom(v.atoms, block)
-                        bits = _mask(row[k] for k in block)
-                        sums[key] = atom, table.intern_sum(atom, bits, whole & ~bits)
-                    atom, idx = sums[key]
-                atoms.append(atom)
-                mask |= 1 << idx
-            latest[mask] = atoms
+            blocks = [_block(table, v, row, block, whole) for block in part]
+            latest[_mask(i for _, i in blocks)] = [atom for atom, _ in blocks]
     contexts, rows = {}, {}
     for atoms in latest.values():
         c = Context(atoms, validate=False)
@@ -513,58 +531,39 @@ def _coarsenings(generators, table: _AtomTable):
 def _close_under_meet(contexts: dict, rows: dict, table: _AtomTable) -> None:
     """Add pairwise meets to ``contexts`` and ``rows`` until none is new.
 
-    Rounds visit the pairs of contexts in insertion order, each pair once,
-    and a new meet is added as first found; so the contexts are the ones a
-    pairwise ``meet`` loop would add. A meet that merges nothing is its
-    first argument, and one that merges everything is the trivial context:
-    both are present already. The sum of a merged set of atoms is built
-    once per set and interned by its key through ``intern_sum``, since two
-    sets can span the same subspace.
+    One worklist: each context, new meets included as they are appended,
+    is met with every earlier one, so each pair is visited once and the
+    contexts are the ones a pairwise ``meet`` loop would add. A meet that
+    merges nothing is its earlier argument, and one that merges everything
+    is the trivial context: both are present already. Otherwise its atom
+    mask is read from ``_block`` before any ``Context`` is made, so a
+    known meet builds nothing.
     """
     items = list(contexts.values())
     masks = [_mask(rows[v.id]) for v in items]
     known = set(masks)
-    merged = {}
-    done = 0
-    while True:
-        added = {}
-        for i, v1 in enumerate(items):
-            r1 = rows[v1.id]
-            ov = [table.overlap[a] for a in r1]
-            m1 = masks[i]
-            for k in range(max(i + 1, done), len(items)):
-                r2 = rows[items[k].id]
-                m2 = masks[k]
-                # an atom on each side overlapping every atom of the other
-                # side connects the overlap graph: the meet is trivial
-                if any(o & m2 == m2 for o in ov) and any(table.overlap[b] & m1 == m1 for b in r2):
-                    continue
-                groups = _overlap_groups([o & m2 for o in ov])
-                if len(groups) in (1, len(r1)):
-                    continue
-                atoms, mask = [], 0
-                for g in groups:
-                    if len(g) == 1:
-                        atom, idx = v1.atoms[g[0]], r1[g[0]]
-                    else:
-                        key = _mask(r1[x] for x in g)
-                        if key not in merged:
-                            atom = _block_atom(v1.atoms, g)
-                            merged[key] = atom, table.intern_sum(atom, key, m1 & ~key)
-                        atom, idx = merged[key]
-                    atoms.append(atom)
-                    mask |= 1 << idx
-                if mask not in known and mask not in added:
-                    added[mask] = Context(atoms, validate=False)
-        done = len(items)
-        if not added:
-            return
-        for mask, m in added.items():
-            contexts[m.id] = m
-            rows[m.id] = table.row(m)
-            known.add(mask)
-            items.append(m)
-            masks.append(mask)
+    for k, v2 in enumerate(items):
+        m2 = masks[k]
+        ov2 = [table.overlap[b] for b in rows[v2.id]]
+        for i, v1 in enumerate(items[:k]):
+            r1, m1 = rows[v1.id], masks[i]
+            ov1 = [table.overlap[a] for a in r1]
+            # an atom on each side overlapping every atom of the other
+            # side connects the overlap graph: the meet is trivial
+            if any(o & m2 == m2 for o in ov1) and any(o & m1 == m1 for o in ov2):
+                continue
+            groups = _overlap_groups([o & m2 for o in ov1])
+            if len(groups) in (1, len(r1)):
+                continue
+            blocks = [_block(table, v1, r1, g, m1) for g in groups]
+            mask = _mask(j for _, j in blocks)
+            if mask not in known:
+                m = Context([atom for atom, _ in blocks], validate=False)
+                contexts[m.id] = m
+                rows[m.id] = table.row(m)
+                known.add(mask)
+                items.append(m)
+                masks.append(mask)
 
 
 def _ordered_poset(contexts: dict, rows: dict, table: _AtomTable, bottom_id: str) -> ContextPoset:
@@ -630,7 +629,7 @@ def check_state_global_element(weights: dict, poset: ContextPoset) -> bool:
 
     Exact weights (QSqrt2, Fraction or int) are taken once per stage as
     integer pairs over one denominator (`integer_pairs`) and pushed forward
-    as integer sums: a pushed sum x over the upper stage's denominator
+    as integers: a pushed total x over the upper stage's denominator
     equals a lower weight y over the lower one iff x * d_sub == y * d_sup,
     on the rational and the sqrt(2) parts. Float weights agree within 1e-7.
     """
@@ -655,7 +654,7 @@ def check_state_global_element(weights: dict, poset: ContextPoset) -> bool:
 
 
 def _pushforward(values, rmap, n: int) -> list:
-    """The sums of ``values`` over the n atoms ``rmap`` sends them to."""
+    """The totals of ``values`` over the n atoms ``rmap`` sends them to."""
     out = [0] * n
     for k, x in zip(rmap, values):
         out[k] += x

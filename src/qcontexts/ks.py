@@ -137,8 +137,9 @@ def load_rayset(source) -> RaySet:
 
     Schema: ``{"dim": int, "field": "int" | "quadratic_sqrt2", "rays": [...],
     "bases": [[i, ...], ...]?}``. Integer-field entries are ints or 'p/q'
-    strings; quadratic entries may also be ``[a, b]`` pairs for a+b*sqrt(2).
-    Missing bases are discovered by orthogonality search.
+    strings, and an ``[a, b]`` entry in an integer-field file (the default)
+    is refused; quadratic entries may also be ``[a, b]`` pairs for
+    a+b*sqrt(2). Missing bases are discovered by orthogonality search.
     """
     if isinstance(source, dict):
         obj = source
@@ -155,6 +156,12 @@ def load_rayset(source) -> RaySet:
     field = obj.get("field", "int")
     if field not in ("int", "quadratic_sqrt2"):
         raise ValidationError(f"unknown field {field!r}")
+    rays = obj.get("rays")
+    if field == "int" and isinstance(rays, (list, tuple)):
+        for k, ray in enumerate(rays):
+            if isinstance(ray, (list, tuple)) and any(isinstance(x, (list, tuple)) for x in ray):
+                raise ValidationError(f'ray {k} has an [a, b] entry, which needs '
+                                      f'"field": "quadratic_sqrt2"')
     return RaySet(obj["dim"], obj["rays"], bases=obj.get("bases"))
 
 

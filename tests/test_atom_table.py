@@ -1,13 +1,14 @@
 """The atom-table poset build against the pairwise reference builder.
 
-``build_poset`` decides each distinct pair of atoms once, derives the
-relations of exact block sums from their parts, and then orders and meets
-contexts by table lookup; ``poset_reference.reference_build_poset`` decides
-every pair of contexts through the projector predicates. Both must give the
-same contexts, order, down-sets, restriction maps and poset JSON: on every
-packaged fixture with and without pair contexts and coarsenings, on random
-integer ray sets, and on the float posets of the ``presheaf-float``
-benchmark workload. Every bit of the tables the builds make must equal the
+``build_poset`` decides each distinct pair of atoms once, finds an exact
+block sum by its parts' bits or derives its relations from them, and then
+orders and meets contexts by table lookup;
+``poset_reference.reference_build_poset`` decides every pair of contexts
+through the projector predicates. Both must give the same contexts,
+order, down-sets, restriction maps and poset JSON: on every packaged
+fixture with and without pair contexts and coarsenings, on random integer
+ray sets, and on the float posets of the ``presheaf-float`` benchmark
+workload. Every bit of the tables the builds make must equal the
 predicates too.
 """
 
@@ -65,6 +66,10 @@ def recorded_tables():
 
 
 def assert_table_matches_the_predicates(table: contexts._AtomTable, note=""):
+    # a sum found by bits is never interned a second time: no key is held
+    # by two atoms, and each maps to its own
+    assert len(table.index) == len(table.atoms), note
+    assert table.index == {a.canonical_key: i for i, a in enumerate(table.atoms)}, note
     for i, p in enumerate(table.atoms):
         for j, q in enumerate(table.atoms):
             assert (table.above[i] >> j & 1) == p.leq(q), (note, i, j)
@@ -148,18 +153,19 @@ def test_block_sums_are_not_traced(monkeypatch, argv, bound):
     assert len(calls) <= bound
 
 
-def orthogonal_to_calls(monkeypatch, tmp_path, argv) -> int:
-    """The ``Projector.orthogonal_to`` calls of one whole command."""
-    calls = []
-    original = Projector.orthogonal_to
+def command_calls(monkeypatch, tmp_path, argv) -> dict:
+    """The ``Projector.orthogonal_to``, ``Projector.leq`` and
+    ``contexts._block_atom`` calls of one whole command."""
+    calls = {"orthogonal_to": 0, "leq": 0, "_block_atom": 0}
+    for owner, name in ((Projector, "orthogonal_to"), (Projector, "leq"),
+                        (contexts, "_block_atom")):
+        def counting(*args, name=name, original=getattr(owner, name)):
+            calls[name] += 1
+            return original(*args)
 
-    def counting(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(Projector, "orthogonal_to", counting)
+        monkeypatch.setattr(owner, name, counting)
     assert cli.main(argv + ["--output", str(tmp_path / "out.json")]) == 0
-    return len(calls)
+    return calls
 
 
 def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
@@ -169,19 +175,36 @@ def test_coarsenings_command_traces_the_rays_once(tmp_path, monkeypatch):
     # its maximal contexts were rebuilt with their coarsenings; 279 when
     # basis discovery and the build each traced the rays
     argv = ["intervals", "--rays", "ks18", "--coarsenings"]
-    assert orthogonal_to_calls(monkeypatch, tmp_path, argv) <= 153
+    assert command_calls(monkeypatch, tmp_path, argv)["orthogonal_to"] <= 153
 
 
 @pytest.mark.parametrize("argv, bound", [
-    # 153 ray pairs + the trivial context's identity against the 18 rays;
-    # 279 when basis discovery and the build each traced the rays
-    (["ks-check", "--rays", "ks18"], 171),
-    # 528 ray pairs + 33 for the identity + the pair complements' traces;
-    # 2,349 when the pair loop traced the rays a third time
-    (["ks-check", "--rays", "peres33", "--pairs"], 1653),
-])
+    # the C(18, 2) = 153 ray pairs and nothing else: the identity is the
+    # sum of a basis, derived from its bits. 171 when the identity was
+    # traced against the 18 rays; 279 when basis discovery and the build
+    # each traced the rays
+    (["ks-check", "--rays", "ks18"], 153),
+    # 528 ray pairs + the pair complements' traces; 1,653 with the
+    # identity's 57; 2,349 when the pair loop traced the rays a third time
+    (["ks-check", "--rays", "peres33", "--pairs"], 1596),
+], ids=["ks18", "peres33-pairs"])
 def test_ray_commands_trace_each_ray_pair_once(tmp_path, monkeypatch, argv, bound):
-    assert orthogonal_to_calls(monkeypatch, tmp_path, argv) <= bound
+    calls = command_calls(monkeypatch, tmp_path, argv)
+    # the build's only leq calls were the identity's, 18 and 57
+    assert calls["orthogonal_to"] <= bound and calls["leq"] == 0, calls
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # each ray's complement, the sum of the other three atoms of either
+    # basis holding it; 36 when each basis built its own
+    (["ks-check", "--rays", "ks18"], 18),
+    (["ks-check", "--rays", "peres33", "--pairs"], 33),  # 96 before
+    # 351 when every pair generator built its block sums, though most lie
+    # below a basis and were interned already
+    (["intervals", "--rays", "ks18", "--pairs", "--coarsenings"], 28),
+], ids=["ks18", "peres33-pairs", "ks18-pairs-coarsenings"])
+def test_block_sums_are_built_only_when_new(tmp_path, monkeypatch, argv, bound):
+    assert command_calls(monkeypatch, tmp_path, argv)["_block_atom"] <= bound
 
 
 def diag_atom(dim, k, value=1.0):

@@ -72,6 +72,24 @@ def test_malformed_basis_exits_2(tmp_path, capsys):
     assert "basis" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("field, code", [("int", 2), (None, 2), ("quadratic_sqrt2", 0)])
+def test_sqrt2_pair_entries_need_the_quadratic_field(tmp_path, capsys, field, code):
+    # (1, sqrt 2) and (sqrt 2, -1): an orthogonal basis over Q(sqrt 2)
+    obj = {"dim": 2, "rays": [[1, [0, 1]], [[0, 1], -1]]}
+    if field is not None:
+        obj["field"] = field
+    f = tmp_path / "rays.json"
+    f.write_text(json.dumps(obj))
+    got, out = run(capsys, "build-poset", "--rays", str(f))
+    assert got == code
+    if code == 2:
+        lines = out.splitlines()
+        assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+        assert "ray 0" in lines[0] and "quadratic_sqrt2" in lines[0]
+    else:
+        assert json.loads(out)["n_contexts"] == 2
+
+
 def test_valuate_pure_state_all_axioms(tmp_path, capsys):
     code, out = run(capsys, "valuate", "--rays", diag3_file(tmp_path),
                     "--state", "basis-0", "--r", "1")
