@@ -13,6 +13,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -23,21 +24,39 @@ from .linalg import DensityMatrix, ValidationError, read_json_file
 from .scalars import get_eps, set_eps
 
 
-def _load_poset(args) -> contexts.ContextPoset:
+def _load_poset(args) -> tuple[contexts.ContextPoset, DensityMatrix | None]:
+    """The poset that --rays or --poset names, and the --state density
+    matrix of a command that takes one (else None). A state needs only the
+    dimension and backend, which the input gives before the build, so a bad
+    spec is refused before any poset is built."""
     if args.poset:
         if args.rays or args.pairs or args.coarsenings or not args.close:
             raise ValidationError("--rays, --pairs, --coarsenings and --no-close "
                                   "do not apply to --poset")
-        return contexts.ContextPoset.from_json(read_json_file(args.poset))
-    if args.rays:
+        obj = read_json_file(args.poset)
+        dim = obj.get("dim") if isinstance(obj, dict) else None
+        backend = "float"
+        build = lambda: contexts.ContextPoset.from_json(obj)
+    elif args.rays:
         if getattr(args, "eps", None) is not None:
             raise ValidationError("--eps does not apply to --rays: ray sets are exact")
         if args.coarsenings and not args.close:
             raise ValidationError("--no-close does not apply to --coarsenings: "
                                   "the coarsenings are not closed under meets")
-        return ks.poset_from_rayset(ks.load_rayset(args.rays), close=args.close,
-                                    include_pairs=args.pairs, coarsenings=args.coarsenings)
-    raise ValidationError("no input: pass --rays or --poset")
+        rays = ks.load_rayset(args.rays)
+        dim, backend = rays.dim, "exact"
+        build = lambda: ks.poset_from_rayset(
+            rays, close=args.close, include_pairs=args.pairs, coarsenings=args.coarsenings)
+    else:
+        raise ValidationError("no input: pass --rays or --poset")
+    rho = None
+    spec = getattr(args, "state", None)
+    # from_json refuses a poset file whose dim is not one of these
+    if spec is not None and type(dim) is int and 1 <= dim <= contexts.DIM_BOUND:
+        rho = _parse_state(spec, dim, backend)
+        if rho.dim != dim:
+            raise ValidationError("dimension mismatch")
+    return build(), rho
 
 
 def _parse_state(spec: str, dim: int, backend: str) -> DensityMatrix:
@@ -104,12 +123,6 @@ def _parse_r(args):
     if not 0 < r <= 1:
         raise ValidationError("threshold r must lie in (0, 1]")
     return r
-
-
-def _presheaf_tables(args, poset, r) -> valuations.PresheafTables:
-    """The state's presheaf tables at the threshold r."""
-    rho = _parse_state(args.state, poset.dim, poset.backend)
-    return valuations.presheaf_tables(rho, poset, r)
 
 
 _INF = float("inf")
@@ -194,7 +207,7 @@ def _config_of(args) -> dict:
 
 
 def cmd_build_poset(args) -> int:
-    poset = _load_poset(args)
+    poset, _ = _load_poset(args)
     report = {
         "config": _config_of(args),
         "poset": poset.to_json(),
@@ -207,8 +220,8 @@ def cmd_build_poset(args) -> int:
 
 def cmd_valuate(args) -> int:
     r = _parse_r(args)
-    poset = _load_poset(args)
-    table = valuations.valuation_table(_presheaf_tables(args, poset, r))
+    poset, rho = _load_poset(args)
+    table = valuations.valuation_table(valuations.presheaf_tables(rho, poset, r))
     axioms = valuations.check_valuation(
         table, require_exclusivity=not args.no_exclusivity,
         require_unit=not args.no_unit,
@@ -227,8 +240,8 @@ def cmd_intervals(args) -> int:
     if args.no_unit:
         raise ValidationError("--no-unit does not apply to intervals")
     r = _parse_r(args)
-    poset = _load_poset(args)
-    tables = _presheaf_tables(args, poset, r)
+    poset, rho = _load_poset(args)
+    tables = valuations.presheaf_tables(rho, poset, r)
     table = valuations.valuation_table(tables)
 
     true_sub = intervals.true_subobject(tables)
@@ -264,7 +277,7 @@ def cmd_intervals(args) -> int:
 
 
 def cmd_ks_check(args) -> int:
-    poset = _load_poset(args)
+    poset, _ = _load_poset(args)
     section, rep = ks.find_global_section(poset, timings=args.timings)
     valid = None
     if section is not None:
@@ -285,8 +298,8 @@ def cmd_ks_check(args) -> int:
 
 def cmd_verify_axioms(args) -> int:
     r = _parse_r(args)
-    poset = _load_poset(args)
-    tables = _presheaf_tables(args, poset, r)
+    poset, rho = _load_poset(args)
+    tables = valuations.presheaf_tables(rho, poset, r)
     table = valuations.valuation_table(tables)
     maps = coarse.projector_restrictions(poset)
 
@@ -375,6 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. ``argv`` None means the
+    process entry point (``python -m qcontexts.cli`` or the ``qcontexts``
+    script), and then the import-time heap is frozen first; a caller that
+    passes an argument list keeps its own heap as it is."""
+    if argv is None:
+        gc.freeze()  # nothing imported is garbage: spare the exit collections from walking it
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

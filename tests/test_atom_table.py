@@ -79,7 +79,7 @@ def assert_table_matches_the_predicates(table: contexts._AtomTable, note=""):
 def load(rays, pairs, coarsenings):
     args = argparse.Namespace(rays=rays, poset=None, close=True, pairs=pairs,
                               coarsenings=coarsenings)
-    return cli._load_poset(args)
+    return cli._load_poset(args)[0]
 
 
 def assert_same_poset(new: ContextPoset, ref: ContextPoset, note=""):

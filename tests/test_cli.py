@@ -12,7 +12,7 @@ from conftest import float_workload
 
 from qcontexts import ks
 from qcontexts.cli import main
-from qcontexts.contexts import DIM_BOUND
+from qcontexts.contexts import DIM_BOUND, ContextPoset
 from qcontexts.scalars import get_eps
 
 
@@ -170,16 +170,44 @@ def test_zero_denominator_threshold_exits_2(capsys):
     assert out.count("\n") == 1 and "zero denominator" in json.loads(out)["error"]
 
 
+def no_build(*args, **kwargs):
+    raise AssertionError("the poset was built")
+
+
 @pytest.mark.parametrize("command", ["valuate", "intervals", "verify-axioms"])
 def test_bad_threshold_is_refused_before_the_build(capsys, monkeypatch, command):
     # --r needs no poset, so it is parsed before any is built
-    def no_build(*args, **kwargs):
-        raise AssertionError("the poset was built")
-
     monkeypatch.setattr(ks, "poset_from_rayset", no_build)
     code, out = run(capsys, command, "--rays", "peres33", "--pairs", "--r", "2")
     assert code == 2
     assert out.count("\n") == 1 and "threshold r" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("state, error", [
+    ("basis-7", "ValidationError: basis index 7 out of range for dim 3"),
+    ("diag:1/0,0,0", "ValidationError: zero denominator in '1/0'"),
+    ("diag:1,0", "ValidationError: diag state has 2 weights, dim is 3"),
+    ("vec:1,1", "ValidationError: dimension mismatch"),
+    ("vec:0,0,0", "ValidationError: zero ray"),
+    ("vec:a,b,c", "ValueError: Invalid literal for Fraction: 'a'"),
+])
+def test_bad_state_is_refused_before_the_build(capsys, monkeypatch, state, error):
+    # a state needs only the ray set's dimension, known before the build
+    monkeypatch.setattr(ks, "poset_from_rayset", no_build)
+    monkeypatch.setattr(ContextPoset, "from_json", no_build)
+    code, out = run(capsys, "valuate", "--rays", "peres33", "--pairs", "--state", state)
+    assert code == 2
+    assert out == json.dumps({"error": error}, sort_keys=True) + "\n"
+
+
+def test_bad_state_is_refused_before_a_poset_file_is_built(tmp_path, capsys, monkeypatch):
+    code, out = run(capsys, "build-poset", "--rays", "dim2_two_bases")
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(json.loads(out)["poset"]))
+    monkeypatch.setattr(ContextPoset, "from_json", no_build)
+    code, out = run(capsys, "valuate", "--poset", str(poset), "--state", "basis-5")
+    assert code == 2
+    assert out == '{"error": "ValidationError: basis index 5 out of range for dim 2"}\n'
 
 
 def test_state_too_large_for_floats_exits_2(tmp_path, capsys):

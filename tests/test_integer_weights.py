@@ -100,7 +100,7 @@ def sign_oracle(a: int, b: int) -> int:
 def poset(name: str, option: str):
     args = argparse.Namespace(rays=name, poset=None, close=True, pairs=option == "pairs",
                               coarsenings=option == "coarsenings")
-    return cli._load_poset(args)
+    return cli._load_poset(args)[0]
 
 
 def states(dim: int):
